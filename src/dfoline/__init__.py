@@ -12,8 +12,6 @@ from .core import (
     NoiseModel,
     Oracle,
     RngStream,
-    evaluate,
-    wrap_with_noise,
 )
 from .directions import (
     DirectionSet,
@@ -104,7 +102,6 @@ __all__ = [
     "coordinate_directions",
     "corpus",
     "eta",
-    "evaluate",
     "gaussian_directions",
     "gaussian_smoothing_constants",
     "get_function",
@@ -123,5 +120,4 @@ __all__ = [
     "sigma_range",
     "strongly_convex_certificate",
     "synthetic_sin",
-    "wrap_with_noise",
 ]

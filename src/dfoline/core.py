@@ -116,7 +116,6 @@ class Oracle:
         *,
         grad_phi=None,
         vectorized: bool = False,
-        concurrency_safe: bool = True,
         name: str = "",
     ):
         if dimension < 1:
@@ -126,7 +125,6 @@ class Oracle:
         self.dimension = int(dimension)
         self.noise = noise if noise is not None else NoiseModel()
         self.vectorized = bool(vectorized)
-        self.concurrency_safe = bool(concurrency_safe)
         self.name = name
         self.eval_count = 0
         # One stochastic draw per evaluation, in query order.  Batch draws of
@@ -194,32 +192,3 @@ class Oracle:
             f"evals={self.eval_count})"
         )
 
-
-def evaluate(oracle: Oracle, x) -> float:
-    """Single noisy evaluation f(x) = phi(x) + eps(x); increments the counter by 1."""
-    return oracle.evaluate(x)
-
-
-def wrap_with_noise(
-    phi,
-    noise: NoiseModel,
-    *,
-    dimension: int,
-    grad_phi=None,
-    vectorized: bool = False,
-    name: str = "",
-) -> Oracle:
-    """Attach a bounded-noise model to a smooth function at the oracle boundary.
-
-    The returned oracle satisfies ``|oracle.evaluate(x) - phi(x)| <= noise.bound``
-    for every x.  Noise lives here, not inside test functions, so every
-    estimator and stepper sees only the black box f.
-    """
-    return Oracle(
-        phi,
-        dimension,
-        noise,
-        grad_phi=grad_phi,
-        vectorized=vectorized,
-        name=name,
-    )

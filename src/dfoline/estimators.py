@@ -9,8 +9,11 @@ Two families:
   forward-difference gradient (FD), orthonormal rows give LIOD, and raw
   Gaussian rows give LIGD via a general solve.
 
-The relative-error metric theta = ||g - grad phi|| / ||grad phi|| lives here
-too, since every accuracy experiment reports it.
+:data:`ESTIMATORS` is the one table of the five estimator kinds the harness
+and :func:`dfoline.minimize` accept, and :func:`estimate` draws directions and
+runs the estimator for any of them.  The relative-error metric
+theta = ||g - grad phi|| / ||grad phi|| lives here too, since every accuracy
+experiment reports it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DFOError, Oracle, as_point
-from .directions import DirectionSet, gaussian_directions
+from .directions import (
+    DirectionSet,
+    coordinate_directions,
+    gaussian_directions,
+    orthonormal_directions,
+)
 
 # LIGD draws can be numerically poor even though a Gaussian matrix is almost
 # surely invertible; past this condition number we redraw once, then fail.
@@ -161,3 +169,44 @@ def relative_error(g, grad_true) -> float:
     if denom == 0.0:
         raise UndefinedMetricError("relative error undefined where the true gradient is zero")
     return float(np.linalg.norm(g - grad_true) / denom)
+
+
+@dataclass(frozen=True)
+class EstimatorKind:
+    """One row of :data:`ESTIMATORS`.
+
+    ``directions`` and ``formula`` name module-level functions of this module,
+    looked up at call time, so a wrapper installed on the module (a profiler
+    or a tracer) sees every call.  ``interpolates`` kinds need N = n;
+    ``adaptive`` kinds have ||Q^-1|| = 1, so their sigma may follow the
+    accuracy window; ``measures_center`` kinds spend one of their evaluations
+    on f(x) and return it as ``f_center``.
+    """
+
+    directions: str
+    formula: str
+    interpolates: bool
+    adaptive: bool
+    measures_center: bool
+
+    def evals_per_call(self, N: int) -> int:
+        """N offsets plus the center, or N symmetric pairs."""
+        return N + 1 if self.measures_center else 2 * N
+
+
+ESTIMATORS = {
+    "gsg": EstimatorKind("gaussian_directions", "gsg", False, False, True),
+    "cgsg": EstimatorKind("gaussian_directions", "cgsg", False, False, False),
+    "liod": EstimatorKind("orthonormal_directions", "interpolation_gradient", True, True, True),
+    "ligd": EstimatorKind("gaussian_directions", "interpolation_gradient", True, False, True),
+    "fd": EstimatorKind("coordinate_directions", "interpolation_gradient", True, True, True),
+}
+
+
+def estimate(kind: str, oracle: Oracle, x, sigma: float, N: int, stream) -> GradientEstimate:
+    """Draw the N directions of estimator ``kind`` from ``stream`` and estimate at x."""
+    spec = ESTIMATORS[kind]
+    n = oracle.dimension
+    build = globals()[spec.directions]
+    dirs = build(n) if spec.directions == "coordinate_directions" else build(n, N, stream)
+    return globals()[spec.formula](oracle, x, sigma, dirs)

@@ -1,19 +1,26 @@
 """Experiment configuration: JSON documents validated against strict schemas.
 
 Unknown keys are hard errors everywhere (additionalProperties: false): a
-typoed option must never silently fall back to a default.  The sha256 of the
-effective config (after any CLI seed override) is stamped into every output
-file, so results are traceable to the exact configuration that produced them.
+typoed option must never silently fall back to a default.  The enums come
+from the code that implements them (noise kinds, the estimator table, the
+stepper classes, the verify-bounds checks), and the stepper classes check
+their own value ranges.  The sha256 of the effective config (after any CLI
+seed override) is stamped into every output file, so results are traceable
+to the exact configuration that produced them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 
 import jsonschema
 
-EXPERIMENT_KINDS = ("grad_accuracy", "optimize", "verify_bounds")
+from ..core import NOISE_KINDS
+from ..estimators import ESTIMATORS
+from ..optimizer import STEPPERS
 
 
 class ConfigError(Exception):
@@ -24,14 +31,12 @@ _NOISE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "kind": {"enum": ["none", "uniform", "sinusoidal", "adversarial_sign"]},
+        "kind": {"enum": list(NOISE_KINDS)},
         "bound": {"type": "number", "minimum": 0},
         "omega": {"type": "number", "exclusiveMinimum": 0},
     },
     "required": ["kind"],
 }
-
-_ESTIMATOR_NAMES = ["gsg", "cgsg", "liod", "ligd", "fd"]
 
 _POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 
@@ -44,7 +49,7 @@ _GRAD_ACCURACY_SCHEMA = {
         "functions": {"type": "array", "items": {"type": "string"}, "minItems": 1},
         "estimators": {
             "type": "array",
-            "items": {"enum": _ESTIMATOR_NAMES},
+            "items": {"enum": list(ESTIMATORS)},
             "minItems": 1,
         },
         "sigmas": {"type": "array", "items": _POSITIVE_NUMBER, "minItems": 1},
@@ -61,21 +66,15 @@ _GRAD_ACCURACY_SCHEMA = {
     "required": ["experiment", "functions", "estimators", "sigmas", "trials"],
 }
 
+# Every field of every stepper class; the class checks the ranges and
+# rejects a key that belongs to another stepper type.
 _STEPPER_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "type": {"enum": ["line_search", "fixed", "adam"]},
-        "c1": _POSITIVE_NUMBER,
-        "tau": _POSITIVE_NUMBER,
-        "eps_f": {"type": "number", "minimum": 0},
-        "alpha0": _POSITIVE_NUMBER,
-        "alpha_min": _POSITIVE_NUMBER,
-        "alpha_max": _POSITIVE_NUMBER,
-        "alpha": _POSITIVE_NUMBER,
-        "beta1": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "beta2": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "eps_hat": _POSITIVE_NUMBER,
+        "type": {"enum": list(STEPPERS)},
+        **{f.name: {"type": "number"}
+           for cls in STEPPERS.values() for f in dataclasses.fields(cls)},
     },
     "required": ["type"],
 }
@@ -89,7 +88,7 @@ _METHOD_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": _ESTIMATOR_NAMES},
+                "kind": {"enum": list(ESTIMATORS)},
                 "sigma": _POSITIVE_NUMBER,
                 "num_directions": {"type": "integer", "minimum": 1},
                 "adaptive": {"type": "boolean"},
@@ -128,45 +127,42 @@ _OPTIMIZE_SCHEMA = {
     "required": ["experiment", "functions", "methods", "budget"],
 }
 
-_CHECK_NAMES = [
-    "interpolation_error_bound",
-    "gsg_variance_domination",
-    "gsg_sample_size",
-    "gaussian_moment_identities",
-    "armijo_decrease_guarantee",
-    "noise_bound",
-]
 
-_VERIFY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"const": "verify_bounds"},
-        "experiment_id": {"type": "string", "minLength": 1},
-        "checks": {"type": "array", "items": {"enum": _CHECK_NAMES}, "minItems": 1},
-        "trials": {"type": "integer", "minimum": 1},
-        "samples": {"type": "integer", "minimum": 10000},
-        "variance_reps": {"type": "integer", "minimum": 100},
-        "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "theta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
-        "dimensions": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
+@functools.cache
+def _schemas() -> dict:
+    """The schema of each experiment kind.  Built on first use: the check
+    names are the keys of ``runners._CHECKS``, and runners imports this module."""
+    from .runners import _CHECKS
+
+    verify = {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {
+            "experiment": {"const": "verify_bounds"},
+            "experiment_id": {"type": "string", "minLength": 1},
+            "checks": {"type": "array", "items": {"enum": list(_CHECKS)}, "minItems": 1},
+            "trials": {"type": "integer", "minimum": 1},
+            "samples": {"type": "integer", "minimum": 10000},
+            "variance_reps": {"type": "integer", "minimum": 100},
+            "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+            "theta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
+            "dimensions": {
+                "type": "array",
+                "items": {"type": "integer", "minimum": 1},
+                "minItems": 1,
+            },
+            "sigmas": {"type": "array", "items": _POSITIVE_NUMBER, "minItems": 1},
+            "noise": _NOISE_SCHEMA,
+            "declared_eps_f": {"type": "number", "minimum": 0},
+            "seed": {"type": "integer", "minimum": 0},
         },
-        "sigmas": {"type": "array", "items": _POSITIVE_NUMBER, "minItems": 1},
-        "noise": _NOISE_SCHEMA,
-        "declared_eps_f": {"type": "number", "minimum": 0},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["experiment"],
-}
-
-_SCHEMAS = {
-    "grad_accuracy": _GRAD_ACCURACY_SCHEMA,
-    "optimize": _OPTIMIZE_SCHEMA,
-    "verify_bounds": _VERIFY_SCHEMA,
-}
+        "required": ["experiment"],
+    }
+    return {
+        "grad_accuracy": _GRAD_ACCURACY_SCHEMA,
+        "optimize": _OPTIMIZE_SCHEMA,
+        "verify_bounds": verify,
+    }
 
 
 def validate_config(cfg: dict) -> dict:
@@ -174,12 +170,13 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("experiment")
-    if kind not in _SCHEMAS:
+    schemas = _schemas()
+    if kind not in schemas:
         raise ConfigError(
-            f"config needs \"experiment\" set to one of {list(_SCHEMAS)}, got {kind!r}"
+            f"config needs \"experiment\" set to one of {list(schemas)}, got {kind!r}"
         )
     try:
-        jsonschema.validate(cfg, _SCHEMAS[kind])
+        jsonschema.validate(cfg, schemas[kind])
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"invalid config at {path}: {exc.message}") from exc

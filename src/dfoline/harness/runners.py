@@ -20,31 +20,27 @@ import numpy as np
 from ..bounds import (
     LineSearchConstants,
     alpha_bar,
+    eta,
     gsg_sample_size,
     gsg_variance_bound,
     interpolation_error_bound,
     moment_identity_check,
 )
 from ..core import NoiseModel, Oracle, RngStream
-from ..directions import (
-    coordinate_directions,
-    gaussian_directions,
-    orthonormal_directions,
-)
+from ..directions import gaussian_directions, orthonormal_directions
 from ..estimators import (
+    ESTIMATORS,
     UndefinedMetricError,
-    cgsg,
+    estimate,
     gsg,
     interpolation_gradient,
     relative_error,
 )
 from ..optimizer import (
-    AdamConfig,
+    STEPPERS,
     EstimatorConfig,
-    FixedStepConfig,
-    LineSearchConfig,
-    backtracking_step,
     LineSearchState,
+    backtracking_step,
     minimize,
 )
 from ..testfns import get_function
@@ -57,8 +53,6 @@ from .csvio import (
     record_seed,
     write_csv,
 )
-
-_INTERPOLATION_KINDS = ("liod", "ligd", "fd")
 
 
 def _noise_model(noise_cfg: dict | None, seed: int) -> NoiseModel:
@@ -88,22 +82,6 @@ def _map_tasks(jobs: int, fn, tasks: list) -> list:
         return list(pool.map(lambda t: fn(*t), tasks))
 
 
-def _build_directions(est: str, n: int, N: int, stream: RngStream):
-    if est in ("gsg", "cgsg", "ligd"):
-        return gaussian_directions(n, N, stream)
-    if est == "liod":
-        return orthonormal_directions(n, N, stream)
-    return coordinate_directions(n)
-
-
-def _estimate(est: str, oracle: Oracle, x, sigma: float, dirs):
-    if est == "gsg":
-        return gsg(oracle, x, sigma, dirs)
-    if est == "cgsg":
-        return cgsg(oracle, x, sigma, dirs)
-    return interpolation_gradient(oracle, x, sigma, dirs)
-
-
 def run_gradient_accuracy(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
     """Sweep (function, estimator, sigma, N, trial); write records and summaries.
 
@@ -125,7 +103,7 @@ def run_gradient_accuracy(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
         for est in cfg["estimators"]:
             for sigma in cfg["sigmas"]:
                 for nf in n_factors:
-                    if est in _INTERPOLATION_KINDS and nf != 1:
+                    if ESTIMATORS[est].interpolates and nf != 1:
                         continue
                     for trial in range(cfg["trials"]):
                         tasks.append((fname, est, float(sigma), nf, trial))
@@ -139,15 +117,14 @@ def run_gradient_accuracy(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
             x = np.zeros(fn.n)
         else:
             x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
-        dirs = _build_directions(est, fn.n, N, RngStream(seed, 1))
-        estimate = _estimate(est, oracle, x, sigma, dirs)
+        result = estimate(est, oracle, x, sigma, N, RngStream(seed, 1))
         row = {
             "experiment_id": exp_id, "function": fname, "n": fn.n,
             "estimator": est, "method": "", "N": N, "sigma": sigma,
-            "trial": trial, "seed": seed, "evals": estimate.evals_used,
+            "trial": trial, "seed": seed, "evals": result.evals_used,
         }
         try:
-            theta = relative_error(estimate.g, fn.gradient(x))
+            theta = relative_error(result.g, fn.gradient(x))
             row["theta"] = theta
             row["log10_theta"] = math.log10(theta) if theta > 0 else None
             row["status"] = "ok"
@@ -209,25 +186,28 @@ def _resolve_x0(choice, n: int, stream: RngStream) -> np.ndarray:
     return stream.generator().uniform(-2.0, 2.0, n)
 
 
-def _build_stepper(stepper_cfg: dict, default_eps_f: float):
-    kind = stepper_cfg["type"]
+def _method_configs(method: dict, fn, noise_bound: float, budget: int):
+    """The estimator and stepper configs of one method on one function.
+
+    Both are built from the keys the method sets, so every default and range
+    is the dataclass's own; the one harness default is a line search that
+    tolerates the configured noise bound.  Raises ConfigError naming the
+    method when a value is out of range, a key belongs to another stepper
+    type, or the budget cannot cover one iteration.
+    """
+    stepper = dict(method["stepper"])
+    kind = stepper.pop("type")
     if kind == "line_search":
-        return LineSearchConfig(
-            c1=stepper_cfg.get("c1", 0.2),
-            tau=stepper_cfg.get("tau", 0.3),
-            eps_f=stepper_cfg.get("eps_f", default_eps_f),
-            alpha0=stepper_cfg.get("alpha0", 1.0),
-            alpha_min=stepper_cfg.get("alpha_min", 1.0e-12),
-            alpha_max=stepper_cfg.get("alpha_max", 1.0e3),
+        stepper.setdefault("eps_f", noise_bound)
+    try:
+        est_cfg = EstimatorConfig(
+            **method["estimator"],
+            constants=dataclasses.replace(fn.constants, eps_f=noise_bound),
         )
-    if kind == "fixed":
-        return FixedStepConfig(alpha=stepper_cfg.get("alpha", 0.01))
-    return AdamConfig(
-        alpha=stepper_cfg.get("alpha", 0.01),
-        beta1=stepper_cfg.get("beta1", 0.9),
-        beta2=stepper_cfg.get("beta2", 0.999),
-        eps_hat=stepper_cfg.get("eps_hat", 1.0e-8),
-    )
+        est_cfg.check_budget(fn.n, budget)
+        return est_cfg, STEPPERS[kind](**stepper)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"method {method['name']} on {fn.name}: {exc}") from exc
 
 
 def run_optimization(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
@@ -248,6 +228,11 @@ def run_optimization(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
         raise ConfigError(f"method names must be unique, got {names}")
     methods = {m["name"]: m for m in cfg["methods"]}
 
+    configs = {
+        (fname, mname): _method_configs(methods[mname], fns[fname], noise_bound, budget)
+        for fname in cfg["functions"]
+        for mname in names
+    }
     tasks = [
         (fname, mname, seed)
         for fname in cfg["functions"]
@@ -257,23 +242,10 @@ def run_optimization(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
 
     def one(fname, mname, seed):
         fn = fns[fname]
-        method = methods[mname]
         run_seed = record_seed(root, exp_id, fname, mname, seed)
         oracle = fn.oracle(_noise_model(noise_cfg, run_seed))
         x0 = _resolve_x0(x0_spec, fn.n, RngStream(run_seed, 2))
-        e = method["estimator"]
-        constants = None
-        if e.get("adaptive", False):
-            constants = dataclasses.replace(fn.constants, eps_f=noise_bound)
-        est_cfg = EstimatorConfig(
-            kind=e["kind"],
-            sigma=e.get("sigma", 0.1),
-            num_directions=e.get("num_directions"),
-            adaptive=e.get("adaptive", False),
-            theta=e.get("theta", 0.25),
-            constants=constants,
-        )
-        stepper = _build_stepper(method["stepper"], noise_bound)
+        est_cfg, stepper = configs[fname, mname]
         trace = minimize(oracle, x0, est_cfg, stepper, budget, RngStream(run_seed, 1))
         return fname, mname, seed, trace
 
@@ -392,7 +364,7 @@ def _check_variance_domination(cfg, root) -> dict:
         "check": "gsg_variance_domination",
         "passed": witness is None,
         "margin": worst,
-        "details": "; ".join(details),
+        "details": "; ".join(details) or "runs only at dimensions <= 8",
         "witness": witness,
     }
 
@@ -468,7 +440,7 @@ def _check_armijo_guarantee(cfg, root) -> dict:
     L = fn.constants.L
     c = LineSearchConstants(c1=0.2, tau=0.3, theta=theta)
     abar = alpha_bar(c, L)
-    eta_val = c.c1 * c.tau * abar * (1.0 - theta) ** 2
+    eta_val = eta(c, L)
     failures = 0
     worst = math.inf
     witness = None
@@ -567,6 +539,9 @@ def run_verify_bounds(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
     root = cfg.get("seed", 0)
     names = cfg.get("checks", list(_CHECKS))
     results = [_CHECKS[name](cfg, root) for name in names]
+    for r in results:
+        if r["margin"] == math.inf:  # a worst case taken over no trial
+            r.update(passed=False, margin=None, details=f"0 trials: {r['details']}")
     report = {
         "experiment_id": exp_id,
         "config_sha256": cfg_hash,
@@ -576,7 +551,7 @@ def run_verify_bounds(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     report["path"] = path
     return report

@@ -21,20 +21,9 @@ import numpy as np
 
 from .bounds import NoFeasibleSigmaError, ProblemConstants, sigma_range
 from .core import DFOError, Oracle, RngStream, as_point
-from .directions import (
-    coordinate_directions,
-    gaussian_directions,
-    orthonormal_directions,
-)
-from .estimators import ConditioningError, cgsg, gsg, interpolation_gradient
+from .estimators import ESTIMATORS, ConditioningError, estimate
 
 GRAD_NORM_TOL = 1.0e-12
-
-ESTIMATOR_KINDS = ("gsg", "cgsg", "liod", "ligd", "fd")
-
-#: Kinds whose sampling radius may be steered by the interpolation-accuracy
-#: window (orthonormal or coordinate rows, where ||Q^-1|| = 1).
-_ADAPTIVE_KINDS = ("liod", "fd")
 
 
 class StallError(DFOError):
@@ -62,7 +51,6 @@ class LineSearchState:
 
     alpha: float = 1.0
     backtracks_this_iter: int = 0
-    alpha0: float = 1.0
     alpha_min: float = 1.0e-12
     alpha_max: float = 1.0e3
 
@@ -176,15 +164,14 @@ def backtracking_step(
 class EstimatorConfig:
     """Which gradient estimator to run inside :func:`minimize`, and how.
 
-    kind: one of gsg, cgsg (smoothing, Gaussian directions), liod
-    (interpolation, orthonormal), ligd (interpolation, Gaussian), fd
-    (interpolation, coordinate).  ``num_directions`` defaults to the problem
-    dimension and must equal it for the interpolation kinds.
+    kind: a key of :data:`dfoline.estimators.ESTIMATORS`.
+    ``num_directions`` defaults to the problem dimension and must equal it for
+    the interpolation kinds.
 
     ``adaptive=True`` re-chooses sigma each iteration as the midpoint of the
     accuracy window [sigma_lo, sigma_hi] for the target ``theta``, using the
     instrumented true gradient norm; it needs ``constants`` (L, eps_f) and is
-    only defined for the liod/fd kinds, whose window has ||Q^-1|| = 1.
+    only defined for the kinds whose window has ||Q^-1|| = 1 (liod, fd).
     """
 
     kind: str
@@ -195,13 +182,14 @@ class EstimatorConfig:
     constants: ProblemConstants | None = None
 
     def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {ESTIMATOR_KINDS}")
+        if self.kind not in ESTIMATORS:
+            raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {list(ESTIMATORS)}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.adaptive:
-            if self.kind not in _ADAPTIVE_KINDS:
-                raise ValueError(f"adaptive sigma is only defined for {_ADAPTIVE_KINDS}")
+            if not ESTIMATORS[self.kind].adaptive:
+                adaptive = [k for k, spec in ESTIMATORS.items() if spec.adaptive]
+                raise ValueError(f"adaptive sigma is only defined for {adaptive}, not {self.kind}")
             if self.constants is None or self.constants.L is None:
                 raise ValueError("adaptive sigma needs ProblemConstants with L set")
             if not 0 < self.theta < 0.5:
@@ -211,13 +199,21 @@ class EstimatorConfig:
         N = self.num_directions if self.num_directions is not None else n
         if N < 1:
             raise ValueError(f"need at least one direction, got {N}")
-        if self.kind in ("liod", "ligd", "fd") and N != n:
-            raise ValueError(f"{self.kind} requires exactly n={n} directions, got {N}")
+        if ESTIMATORS[self.kind].interpolates and N != n:
+            raise ValueError(f"num_directions: {self.kind} requires exactly n={n} directions, got {N}")
         return N
 
     def evals_per_call(self, n: int) -> int:
-        N = self.resolved_directions(n)
-        return 2 * N if self.kind == "cgsg" else N + 1
+        return ESTIMATORS[self.kind].evals_per_call(self.resolved_directions(n))
+
+    def check_budget(self, n: int, budget: int) -> None:
+        """Raise ValueError unless ``budget`` covers one estimate plus a step."""
+        need = self.evals_per_call(n) + 1
+        if budget < need:
+            raise ValueError(
+                f"budget {budget} cannot cover one estimator call plus a step "
+                f"({need} evaluations)"
+            )
 
 
 @dataclass(frozen=True)
@@ -229,14 +225,26 @@ class LineSearchConfig:
     alpha_min: float = 1.0e-12
     alpha_max: float = 1.0e3
 
+    def __post_init__(self):
+        for name in ("c1", "tau"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        if not self.eps_f >= 0:
+            raise ValueError(f"eps_f must be >= 0, got {self.eps_f}")
+        if not 0 < self.alpha_min <= self.alpha0 <= self.alpha_max:
+            raise ValueError(
+                f"need 0 < alpha_min <= alpha0 <= alpha_max, got alpha_min="
+                f"{self.alpha_min}, alpha0={self.alpha0}, alpha_max={self.alpha_max}"
+            )
+
 
 @dataclass(frozen=True)
 class FixedStepConfig:
-    alpha: float
+    alpha: float = 0.01
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"fixed step must be positive, got {self.alpha}")
+        if not self.alpha > 0:
+            raise ValueError(f"fixed step alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -245,6 +253,18 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_hat: float = 1.0e-8
+
+    def __post_init__(self):
+        for name in ("alpha", "eps_hat"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+
+
+#: Stepper configs by the ``type`` name an experiment config gives them.
+STEPPERS = {"line_search": LineSearchConfig, "fixed": FixedStepConfig, "adam": AdamConfig}
 
 
 @dataclass(frozen=True)
@@ -303,20 +323,6 @@ def _instrument(oracle: Oracle, x: np.ndarray, g: np.ndarray | None):
     return phi, grad_norm, theta_k
 
 
-def _estimate(oracle, x, sigma, cfg: EstimatorConfig, N, stream):
-    if cfg.kind == "gsg":
-        return gsg(oracle, x, sigma, gaussian_directions(oracle.dimension, N, stream))
-    if cfg.kind == "cgsg":
-        return cgsg(oracle, x, sigma, gaussian_directions(oracle.dimension, N, stream))
-    if cfg.kind == "liod":
-        dirs = orthonormal_directions(oracle.dimension, N, stream)
-    elif cfg.kind == "ligd":
-        dirs = gaussian_directions(oracle.dimension, N, stream)
-    else:
-        dirs = coordinate_directions(oracle.dimension)
-    return interpolation_gradient(oracle, x, sigma, dirs)
-
-
 def minimize(
     oracle: Oracle,
     x0,
@@ -332,17 +338,14 @@ def minimize(
     The trace gains one record per iterate including the final one; estimator
     and stepper failures become terminal statuses, never lost exceptions:
     "converged", "budget_exhausted", "noise_floor", or "failed" (see
-    ``trace.detail``).
+    ``trace.detail``).  A vanishing estimate counts as convergence only when
+    every probe point x + sigma u_i differs from x in floating point.
     """
     x = as_point(x0, oracle.dimension).copy()
     n = oracle.dimension
     N = estimator.resolved_directions(n)
     est_cost = estimator.evals_per_call(n)
-    if budget < est_cost + 1:
-        raise ValueError(
-            f"budget {budget} cannot cover one estimator call plus a step "
-            f"({est_cost + 1} evaluations)"
-        )
+    estimator.check_budget(n, budget)
     if not isinstance(rng, RngStream):
         rng = RngStream(int(rng))
     if estimator.adaptive and oracle.grad_phi is None:
@@ -352,8 +355,7 @@ def minimize(
     adam_state = None
     if isinstance(stepper, LineSearchConfig):
         ls_state = LineSearchState(
-            alpha=stepper.alpha0, alpha0=stepper.alpha0,
-            alpha_min=stepper.alpha_min, alpha_max=stepper.alpha_max,
+            alpha=stepper.alpha0, alpha_min=stepper.alpha_min, alpha_max=stepper.alpha_max,
         )
     elif isinstance(stepper, AdamConfig):
         adam_state = AdamState.fresh(n, stepper.beta1, stepper.beta2, stepper.eps_hat)
@@ -362,7 +364,7 @@ def minimize(
 
     trace = OptimizationTrace()
     extra = 1 if isinstance(stepper, (LineSearchConfig,)) else 0
-    extra += 1 if estimator.kind == "cgsg" else 0  # explicit center measurement
+    extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart
     k = 0
 
     def terminal(status: str, *, f=math.nan, g_norm=math.nan, theta_k=math.nan,
@@ -394,7 +396,7 @@ def minimize(
                 return trace
 
         try:
-            est = _estimate(oracle, x, sigma, estimator, N, rng.child(k))
+            est = estimate(estimator.kind, oracle, x, sigma, N, rng.child(k))
         except ConditioningError as exc:
             terminal("failed", detail=str(exc))
             return trace
@@ -404,11 +406,18 @@ def minimize(
         phi_k, grad_norm_k, theta_k = _instrument(oracle, x, g)
 
         if g_norm <= GRAD_NORM_TOL:
+            status = "converged"
+            if np.any(np.all(x + sigma * est.directions.Q == x, axis=1)):
+                status = "failed"
+                trace.detail = (
+                    f"sampling radius sigma={sigma:.3e} is lost to rounding at "
+                    f"||x||={np.linalg.norm(x):.3e}: a probe point equals x"
+                )
             trace.records.append(IterationRecord(
                 k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, math.nan, theta_k,
-                oracle.eval_count, "converged",
+                oracle.eval_count, status,
             ))
-            trace.status = "converged"
+            trace.status = status
             return trace
 
         if ls_state is not None:

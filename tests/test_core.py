@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dfoline import EvaluationError, NoiseModel, Oracle, RngStream, evaluate, wrap_with_noise
+from dfoline import EvaluationError, NoiseModel, Oracle, RngStream
 from dfoline.core import DEFAULT_SINUSOID_OMEGA, as_point
 
 
@@ -79,7 +79,7 @@ class TestOracleAccounting:
         assert o.eval_count == 1
         o([0.0, 0.0])  # __call__ is the same surface
         assert o.eval_count == 2
-        evaluate(o, [3.0, 4.0])
+        o.evaluate([3.0, 4.0])
         assert o.eval_count == 3
 
     def test_batch_counts_per_row(self):
@@ -185,9 +185,11 @@ class TestNoiseKinds:
 
 
 class TestWrapWithNoise:
+    """A noise model attached to a smooth function at the oracle boundary."""
+
     def test_hard_bound_holds_everywhere(self):
         noise = NoiseModel(kind="uniform", bound=1e-3, seed=4)
-        o = wrap_with_noise(sphere, noise, dimension=4, name="sphere4")
+        o = Oracle(sphere, 4, noise, name="sphere4")
         X = RngStream(1).generator().uniform(-3, 3, (500, 4))
         eps = o.evaluate_batch(X) - np.sum(X * X, axis=1)
         assert np.max(np.abs(eps)) <= 1e-3
@@ -195,10 +197,10 @@ class TestWrapWithNoise:
 
     def test_grad_passthrough_and_vectorized_flag(self):
         grad = lambda x: 2.0 * np.asarray(x)
-        o = wrap_with_noise(
+        o = Oracle(
             lambda X: np.sum(np.asarray(X) ** 2, axis=-1),
+            2,
             NoiseModel(),
-            dimension=2,
             grad_phi=grad,
             vectorized=True,
         )

@@ -19,7 +19,6 @@ from dfoline import (
     interpolation_gradient,
     orthonormal_directions,
     relative_error,
-    wrap_with_noise,
 )
 from dfoline.estimators import GradientEstimate
 
@@ -174,9 +173,9 @@ class TestInterpolation:
         value = lambda X: 0.5 * np.sum((np.asarray(X) @ A) * X, axis=-1)
         for trial in range(1000):
             seed = 9000 + trial
-            o = wrap_with_noise(
-                value, NoiseModel(kind="uniform", bound=eps_f, seed=seed),
-                dimension=n, vectorized=True,
+            o = Oracle(
+                value, n, NoiseModel(kind="uniform", bound=eps_f, seed=seed),
+                vectorized=True,
             )
             x = RngStream(seed, 2).generator().uniform(-2, 2, n)
             sigma = (1e-2, 1e-3)[trial % 2]

@@ -255,6 +255,18 @@ class TestVerifyRunner:
         assert on_disk["all_pass"] is True
         assert on_disk["config_sha256"] == config_hash(cfg)
 
+    def test_check_with_zero_trials_fails(self, tmp_path):
+        """Variance domination runs only at n <= 8; with none it must not PASS."""
+        cfg = {"experiment": "verify_bounds", "checks": ["gsg_variance_domination"],
+               "dimensions": [10]}
+        report = run_verify_bounds(cfg, str(tmp_path))
+        assert report["all_pass"] is False
+        assert report["checks"][0]["passed"] is False
+        assert report["checks"][0]["margin"] is None
+        on_disk = json.loads((tmp_path / "report.json").read_text(),
+                             parse_constant=lambda name: pytest.fail(name))
+        assert on_disk["checks"][0]["margin"] is None
+
     def test_noise_bound_negative_control(self, tmp_path):
         """Declaring a smaller eps_f than the oracle actually emits must
         flip the noise check to FAIL and serialize a witness point."""
@@ -290,6 +302,28 @@ class TestCli:
         path = self.write_cfg(tmp_path, grad_cfg(estimators=["newton"]))
         assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names_field, method, budget", [
+        ("budget 5", {"estimator": {"kind": "liod"}, "stepper": {"type": "line_search"}}, 5),
+        ("tau must", {"estimator": {"kind": "liod"},
+                      "stepper": {"type": "line_search", "tau": 2}}, 200),
+        ("adaptive", {"estimator": {"kind": "gsg", "adaptive": True},
+                      "stepper": {"type": "fixed"}}, 200),
+        ("num_directions", {"estimator": {"kind": "liod", "num_directions": 3},
+                            "stepper": {"type": "line_search"}}, 200),
+        ("alpha_min=10", {"estimator": {"kind": "liod"},
+                          "stepper": {"type": "line_search", "alpha_min": 10}}, 200),
+        ("'alpha'", {"estimator": {"kind": "liod"},
+                     "stepper": {"type": "line_search", "alpha": 0.5}}, 200),
+    ])
+    def test_schema_valid_but_unusable_config_exit_two(self, tmp_path, capsys,
+                                                        names_field, method, budget):
+        cfg = opt_cfg(methods=[{"name": "m", **method}], seeds=[0], budget=budget)
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and names_field in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_subcommand_config_kind_mismatch(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, grad_cfg(trials=5))

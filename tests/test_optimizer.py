@@ -21,6 +21,7 @@ from dfoline import (
     armijo_holds,
     backtracking_step,
     eta,
+    get_function,
     LineSearchConstants,
     minimize,
     quadratic,
@@ -207,6 +208,20 @@ class TestMinimize:
         assert trace.status == "noise_floor"
         assert trace.records[-1].phi <= 1.0e-11
         assert trace.evals_total <= 200
+
+    def test_sigma_lost_to_rounding_is_failed_not_converged(self):
+        """A unit fixed step on rosenbrock_n4 diverges to x_3 ~ 2e10, where the
+        probe x + sigma e_3 rounds back to x and f ~ 2e43 swallows the other
+        differences, so the estimate is exactly 0."""
+        trace = minimize(
+            get_function("rosenbrock_n4").oracle(), np.ones(4),
+            EstimatorConfig(kind="fd", sigma=1.0e-6), FixedStepConfig(alpha=1.0),
+            budget=2000,
+        )
+        assert trace.status == "failed"
+        assert trace.records[-1].status == "failed"
+        assert trace.records[-1].g_norm == 0.0
+        assert "sigma=1.000e-06" in trace.detail and "||x||=" in trace.detail
 
     def test_budget_must_cover_one_iteration(self):
         fn = quadratic(5, 1.0, 1.0)

@@ -3,7 +3,7 @@
 Three kinds: the coordinate basis, i.i.d. standard Gaussian rows, and
 orthonormalized Gaussian rows.  All generation is a pure function of
 (dimensions, seed), so direction sets are byte-identical across platforms and
-safe to produce from any number of workers.
+across runs.
 """
 
 from __future__ import annotations

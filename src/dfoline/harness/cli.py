@@ -1,9 +1,12 @@
 """Command-line interface.
 
-    dfoline grad-accuracy --config cfg.json --out results/ [--seed N] [--jobs K]
-    dfoline optimize      --config cfg.json --out results/ [--seed N] [--jobs K]
+    dfoline grad-accuracy --config cfg.json --out results/ [--seed N]
+    dfoline optimize      --config cfg.json --out results/ [--seed N]
     dfoline verify-bounds --config cfg.json --out results/ [--seed N]
     dfoline list-functions
+
+Every run is sequential, in the calling thread.  ``--jobs K`` is still
+accepted by the three experiment subcommands and changes nothing.
 
 Exit codes: 0 success, 2 configuration error, 3 bound violation reported by
 verify-bounds.
@@ -46,8 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, metavar="U64",
                        help="override the config's root seed")
         p.add_argument("--jobs", type=int, default=1, metavar="K",
-                       help="worker threads for trial fan-out (results are "
-                       "order-deterministic regardless)")
+                       help="accepted and ignored: runs are sequential")
     sub.add_parser("list-functions", help="List the built-in benchmark functions.")
     return parser
 
@@ -91,16 +93,17 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "grad-accuracy":
-            result = run_gradient_accuracy(cfg, args.out, jobs=args.jobs)
+            result = run_gradient_accuracy(cfg, args.out)
             print(f"wrote {result['n_records']} records to {result['records']}")
             print(f"wrote {result['n_summaries']} summaries to {result['summary']}")
         elif args.command == "optimize":
-            result = run_optimization(cfg, args.out, jobs=args.jobs)
+            result = run_optimization(cfg, args.out)
             for run, status in result["statuses"].items():
-                print(f"{run}: {status}")
+                detail = result["details"][run]
+                print(f"{run}: {status} ({detail})" if detail else f"{run}: {status}")
             print(f"wrote {len(result['traces'])} traces and {result['aggregate']}")
         else:
-            report = run_verify_bounds(cfg, args.out, jobs=args.jobs)
+            report = run_verify_bounds(cfg, args.out)
             for check in report["checks"]:
                 verdict = "PASS" if check["passed"] else "FAIL"
                 print(f"{verdict} {check['check']}: {check['details']}")

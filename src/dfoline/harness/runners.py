@@ -2,18 +2,17 @@
 theory-verification suites.
 
 Every record derives a private seed from (root seed, identifying key) with a
-keyed hash, so records are independent of execution order and any single one
-can be reproduced in isolation.  Worker fan-out therefore cannot change
-results: outputs are written in declared task order, not arrival order.
+keyed hash, so any single record can be reproduced in isolation.  Tasks run
+one after another in declared order, in the calling thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from ..bounds import (
     interpolation_error_bound,
     moment_identity_check,
 )
-from ..core import NoiseModel, Oracle, RngStream
+from ..core import DFOError, NoiseModel, Oracle, RngStream
 from ..directions import gaussian_directions, orthonormal_directions
 from ..estimators import (
     ESTIMATORS,
@@ -74,21 +73,15 @@ def _functions(names) -> dict:
     return fns
 
 
-def _map_tasks(jobs: int, fn, tasks: list) -> list:
-    """Apply fn over tasks, preserving task order regardless of worker count."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(*t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda t: fn(*t), tasks))
-
-
-def run_gradient_accuracy(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
+def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     """Sweep (function, estimator, sigma, N, trial); write records and summaries.
 
     Emits one row per trial into records.csv plus one row per
     (function, estimator, sigma, N) group into summary.csv with the mean and
     quartiles of log10 theta.  Interpolation estimators are pinned to N = n,
-    so direction-count factors other than 1 apply only to gsg/cgsg.
+    so direction-count factors other than 1 apply only to gsg/cgsg.  A trial
+    whose estimate raises a runtime failure is recorded as "failed", with its
+    replay seed and no theta.
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
@@ -98,43 +91,36 @@ def run_gradient_accuracy(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
     eval_point = cfg.get("eval_point", "random")
     n_factors = cfg.get("n_factors", [1])
 
-    tasks = []
-    for fname in cfg["functions"]:
-        for est in cfg["estimators"]:
-            for sigma in cfg["sigmas"]:
-                for nf in n_factors:
-                    if ESTIMATORS[est].interpolates and nf != 1:
-                        continue
-                    for trial in range(cfg["trials"]):
-                        tasks.append((fname, est, float(sigma), nf, trial))
-
-    def one(fname, est, sigma, nf, trial):
+    rows = []
+    for fname, est, sigma, nf in itertools.product(
+        cfg["functions"], cfg["estimators"], map(float, cfg["sigmas"]), n_factors
+    ):
+        if ESTIMATORS[est].interpolates and nf != 1:
+            continue
         fn = fns[fname]
         N = nf * fn.n
-        seed = record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
-        oracle = fn.oracle(_noise_model(noise_cfg, seed))
-        if eval_point == "origin":
-            x = np.zeros(fn.n)
-        else:
-            x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
-        result = estimate(est, oracle, x, sigma, N, RngStream(seed, 1))
-        row = {
-            "experiment_id": exp_id, "function": fname, "n": fn.n,
-            "estimator": est, "method": "", "N": N, "sigma": sigma,
-            "trial": trial, "seed": seed, "evals": result.evals_used,
-        }
-        try:
-            theta = relative_error(result.g, fn.gradient(x))
-            row["theta"] = theta
-            row["log10_theta"] = math.log10(theta) if theta > 0 else None
-            row["status"] = "ok"
-        except UndefinedMetricError:
-            row["theta"] = None
-            row["log10_theta"] = None
-            row["status"] = "skipped"
-        return row
-
-    rows = _map_tasks(jobs, one, tasks)
+        for trial in range(cfg["trials"]):
+            seed = record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
+            oracle = fn.oracle(_noise_model(noise_cfg, seed))
+            if eval_point == "origin":
+                x = np.zeros(fn.n)
+            else:
+                x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
+            row = {
+                "experiment_id": exp_id, "function": fname, "n": fn.n,
+                "estimator": est, "method": "", "N": N, "sigma": sigma,
+                "trial": trial, "seed": seed, "theta": None, "log10_theta": None,
+                "status": "ok",
+            }
+            try:
+                result = estimate(est, oracle, x, sigma, N, RngStream(seed, 1))
+                theta = relative_error(result.g, fn.gradient(x))
+                row.update(theta=theta, log10_theta=math.log10(theta) if theta > 0 else None)
+            except UndefinedMetricError:
+                row["status"] = "skipped"
+            except DFOError:
+                row["status"] = "failed"
+            rows.append({**row, "evals": oracle.eval_count})
 
     groups: dict[tuple, list] = {}
     for row in rows:
@@ -175,10 +161,7 @@ def run_gradient_accuracy(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
 
 def _resolve_x0(choice, n: int, stream: RngStream) -> np.ndarray:
     if isinstance(choice, list):
-        x0 = np.asarray(choice, dtype=float)
-        if x0.shape != (n,):
-            raise ConfigError(f"x0 has dimension {x0.size}, function needs {n}")
-        return x0
+        return np.asarray(choice, dtype=float)
     if choice == "origin":
         return np.zeros(n)
     if choice == "ones":
@@ -210,9 +193,13 @@ def _method_configs(method: dict, fn, noise_bound: float, budget: int):
         raise ConfigError(f"method {method['name']} on {fn.name}: {exc}") from exc
 
 
-def run_optimization(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
+def run_optimization(cfg: dict, out_dir: str) -> dict:
     """One trace file per (function, method, seed), plus a mean/min/max
-    envelope per (function, method) aggregated across seeds by iteration."""
+    envelope per (function, method) aggregated across seeds by iteration.
+
+    Returns the paths written and, keyed by "function/method/s<seed>", each
+    trace's status and its stop reason (``trace.detail``, empty when none).
+    """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
     fns = _functions(cfg["functions"])
@@ -226,68 +213,50 @@ def run_optimization(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
     names = [m["name"] for m in cfg["methods"]]
     if len(set(names)) != len(names):
         raise ConfigError(f"method names must be unique, got {names}")
-    methods = {m["name"]: m for m in cfg["methods"]}
-
+    if isinstance(x0_spec, list):
+        for fname, fn in fns.items():
+            if len(x0_spec) != fn.n:
+                raise ConfigError(f"x0 has dimension {len(x0_spec)}, {fname} needs {fn.n}")
     configs = {
-        (fname, mname): _method_configs(methods[mname], fns[fname], noise_bound, budget)
-        for fname in cfg["functions"]
-        for mname in names
+        (fname, method["name"]): _method_configs(method, fn, noise_bound, budget)
+        for fname, fn in fns.items()
+        for method in cfg["methods"]
     }
-    tasks = [
-        (fname, mname, seed)
-        for fname in cfg["functions"]
-        for mname in names
-        for seed in seeds
-    ]
-
-    def one(fname, mname, seed):
-        fn = fns[fname]
-        run_seed = record_seed(root, exp_id, fname, mname, seed)
-        oracle = fn.oracle(_noise_model(noise_cfg, run_seed))
-        x0 = _resolve_x0(x0_spec, fn.n, RngStream(run_seed, 2))
-        est_cfg, stepper = configs[fname, mname]
-        trace = minimize(oracle, x0, est_cfg, stepper, budget, RngStream(run_seed, 1))
-        return fname, mname, seed, trace
-
-    results = _map_tasks(jobs, one, tasks)
 
     os.makedirs(out_dir, exist_ok=True)
-    trace_paths = []
-    for fname, mname, seed, trace in results:
-        rows = [
-            {
-                "k": r.k, "evals": r.evals, "f": r.f, "phi": r.phi,
-                "grad_norm_true": r.grad_norm_true, "g_norm": r.g_norm,
-                "alpha": r.alpha, "theta_k": r.theta_k, "status": r.status,
-            }
-            for r in trace.records
-        ]
-        path = os.path.join(out_dir, f"trace_{fname}__{mname}__s{seed}.csv")
-        write_csv(path, TRACE_COLUMNS, rows, cfg_hash)
-        trace_paths.append(path)
+    trace_paths, agg_rows, statuses, details = [], [], {}, {}
+    for (fname, mname), (est_cfg, stepper) in configs.items():
+        fn = fns[fname]
+        traces = []
+        for seed in seeds:
+            run_seed = record_seed(root, exp_id, fname, mname, seed)
+            oracle = fn.oracle(_noise_model(noise_cfg, run_seed))
+            x0 = _resolve_x0(x0_spec, fn.n, RngStream(run_seed, 2))
+            trace = minimize(oracle, x0, est_cfg, stepper, budget, RngStream(run_seed, 1))
+            path = os.path.join(out_dir, f"trace_{fname}__{mname}__s{seed}.csv")
+            # each record's fields by name; TRACE_COLUMNS picks the columns
+            write_csv(path, TRACE_COLUMNS, [vars(r) for r in trace.records], cfg_hash)
+            trace_paths.append(path)
+            run = f"{fname}/{mname}/s{seed}"
+            statuses[run], details[run] = trace.status, trace.detail
+            traces.append(trace)
 
-    agg_rows = []
-    for fname in cfg["functions"]:
-        for mname in names:
-            traces = [t for f, m, _, t in results if f == fname and m == mname]
-            max_len = max(len(t.records) for t in traces)
-            for k in range(max_len):
-                recs = [t.records[k] for t in traces if len(t.records) > k]
-                phis = [r.phi for r in recs]
-                agg_rows.append({
-                    "function": fname, "method": mname, "k": k,
-                    "n_seeds": len(recs),
-                    "phi_mean": float(np.mean(phis)),
-                    "phi_min": float(np.min(phis)),
-                    "phi_max": float(np.max(phis)),
-                    "grad_norm_true_mean": float(np.mean([r.grad_norm_true for r in recs])),
-                    "evals_mean": float(np.mean([r.evals for r in recs])),
-                })
+        for k in range(max(len(t.records) for t in traces)):
+            recs = [t.records[k] for t in traces if len(t.records) > k]
+            phis = [r.phi for r in recs]
+            agg_rows.append({
+                "function": fname, "method": mname, "k": k,
+                "n_seeds": len(recs),
+                "phi_mean": float(np.mean(phis)),
+                "phi_min": float(np.min(phis)),
+                "phi_max": float(np.max(phis)),
+                "grad_norm_true_mean": float(np.mean([r.grad_norm_true for r in recs])),
+                "evals_mean": float(np.mean([r.evals for r in recs])),
+            })
     agg_path = os.path.join(out_dir, "aggregate.csv")
     write_csv(agg_path, AGGREGATE_COLUMNS, agg_rows, cfg_hash)
-
-    statuses = {f"{f}/{m}/s{s}": t.status for f, m, s, t in results}
-    return {"traces": trace_paths, "aggregate": agg_path, "statuses": statuses}
+    return {"traces": trace_paths, "aggregate": agg_path,
+            "statuses": statuses, "details": details}
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +495,12 @@ _CHECKS = {
 }
 
 
-def run_verify_bounds(cfg: dict, out_dir: str, jobs: int = 1) -> dict:
+def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
     """Execute the named theory checks; returns the report written to disk.
 
     Each check measures its margin (how far inside the bound the worst trial
     landed); a hard-bound violation serializes the witness instance so it can
-    be replayed.  ``jobs`` is accepted for interface symmetry; checks are
-    internally vectorized and run sequentially for deterministic reduction.
+    be replayed.
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])

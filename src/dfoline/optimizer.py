@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import NoFeasibleSigmaError, ProblemConstants, sigma_range
 from .core import DFOError, Oracle, RngStream, as_point
-from .estimators import ESTIMATORS, ConditioningError, estimate
+from .estimators import ESTIMATORS, estimate
 
 GRAD_NORM_TOL = 1.0e-12
 
@@ -335,11 +335,13 @@ def minimize(
 
     A fresh direction set is drawn every iteration from a per-iteration
     sub-stream of ``rng``, so runs are bit-reproducible given (seed, config).
-    The trace gains one record per iterate including the final one; estimator
-    and stepper failures become terminal statuses, never lost exceptions:
+    The trace gains one record per iterate including the final one, and ends
     "converged", "budget_exhausted", "noise_floor", or "failed" (see
-    ``trace.detail``).  A vanishing estimate counts as convergence only when
-    every probe point x + sigma u_i differs from x in floating point.
+    ``trace.detail``).  A :class:`DFOError` raised inside the loop ends the
+    run "failed" with the exception text; it is never lost.  A vanishing
+    estimate counts as convergence only when sigma can resolve a gradient of
+    that size, that is when spacing(|f(x)|) / sigma <= GRAD_NORM_TOL;
+    otherwise the differences were lost to rounding and the run has failed.
     """
     x = as_point(x0, oracle.dimension).copy()
     n = oracle.dimension
@@ -377,77 +379,79 @@ def minimize(
         trace.status = status
         trace.detail = detail
 
-    while True:
-        if oracle.eval_count + est_cost + extra > budget:
-            terminal("budget_exhausted")
-            return trace
-
-        sigma = estimator.sigma
-        if estimator.adaptive:
-            grad_norm_here = float(np.linalg.norm(np.asarray(oracle.grad_phi(x), dtype=float)))
-            try:
-                lo, hi = sigma_range(estimator.theta, grad_norm_here, n, estimator.constants)
-            except NoFeasibleSigmaError as exc:
-                terminal("noise_floor", detail=str(exc))
-                return trace
-            sigma = 0.5 * (lo + hi)
-            if sigma <= 0:
-                terminal("noise_floor", detail="accuracy window collapsed to zero radius")
+    try:
+        while True:
+            if oracle.eval_count + est_cost + extra > budget:
+                terminal("budget_exhausted")
                 return trace
 
-        try:
+            sigma = estimator.sigma
+            if estimator.adaptive:
+                grad_norm_here = float(np.linalg.norm(np.asarray(oracle.grad_phi(x), dtype=float)))
+                try:
+                    lo, hi = sigma_range(estimator.theta, grad_norm_here, n, estimator.constants)
+                except NoFeasibleSigmaError as exc:
+                    terminal("noise_floor", detail=str(exc))
+                    return trace
+                sigma = 0.5 * (lo + hi)
+                if sigma <= 0:
+                    terminal("noise_floor", detail="accuracy window collapsed to zero radius")
+                    return trace
+
             est = estimate(estimator.kind, oracle, x, sigma, N, rng.child(k))
-        except ConditioningError as exc:
-            terminal("failed", detail=str(exc))
-            return trace
-        f_k = est.f_center if est.f_center is not None else oracle.evaluate(x)
-        g = est.g
-        g_norm = float(np.linalg.norm(g))
-        phi_k, grad_norm_k, theta_k = _instrument(oracle, x, g)
+            f_k = est.f_center if est.f_center is not None else oracle.evaluate(x)
+            g = est.g
+            g_norm = float(np.linalg.norm(g))
+            phi_k, grad_norm_k, theta_k = _instrument(oracle, x, g)
 
-        if g_norm <= GRAD_NORM_TOL:
-            status = "converged"
-            if np.any(np.all(x + sigma * est.directions.Q == x, axis=1)):
-                status = "failed"
-                trace.detail = (
-                    f"sampling radius sigma={sigma:.3e} is lost to rounding at "
-                    f"||x||={np.linalg.norm(x):.3e}: a probe point equals x"
-                )
-            trace.records.append(IterationRecord(
-                k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, math.nan, theta_k,
-                oracle.eval_count, status,
-            ))
-            trace.status = status
-            return trace
-
-        if ls_state is not None:
-            allowance = budget - oracle.eval_count
-            try:
-                x_next, alpha = backtracking_step(
-                    oracle, x, g, ls_state, stepper.c1, stepper.tau, stepper.eps_f,
-                    f_curr=f_k, max_trials=allowance,
-                )
-            except StallError as exc:
-                status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
+            if g_norm <= GRAD_NORM_TOL:
+                status = "converged"
+                resolution = float(np.spacing(abs(f_k))) / sigma
+                if resolution > GRAD_NORM_TOL:
+                    status = "failed"
+                    trace.detail = (
+                        f"sampling radius sigma={sigma:.3e} is lost to rounding at "
+                        f"||x||={np.linalg.norm(x):.3e}, f={f_k:.3e}: the estimate "
+                        f"vanished but cannot resolve a gradient below {resolution:.3e}"
+                    )
                 trace.records.append(IterationRecord(
                     k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, math.nan, theta_k,
                     oracle.eval_count, status,
                 ))
                 trace.status = status
-                trace.detail = str(exc)
                 return trace
-            ls_state.alpha = min(ls_state.alpha_max, alpha / stepper.tau)
-        elif adam_state is not None:
-            alpha = stepper.alpha
-            adam_state, step = adam_step(adam_state, g, alpha)
-            x_next = x + step
-        else:
-            alpha = stepper.alpha
-            x_next = x - alpha * g
 
-        trace.records.append(IterationRecord(
-            k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, alpha, theta_k,
-            oracle.eval_count, "ok",
-        ))
-        x = x_next
-        k += 1
+            if ls_state is not None:
+                allowance = budget - oracle.eval_count
+                try:
+                    x_next, alpha = backtracking_step(
+                        oracle, x, g, ls_state, stepper.c1, stepper.tau, stepper.eps_f,
+                        f_curr=f_k, max_trials=allowance,
+                    )
+                except StallError as exc:
+                    status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
+                    trace.records.append(IterationRecord(
+                        k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, math.nan, theta_k,
+                        oracle.eval_count, status,
+                    ))
+                    trace.status = status
+                    trace.detail = str(exc)
+                    return trace
+                ls_state.alpha = min(ls_state.alpha_max, alpha / stepper.tau)
+            elif adam_state is not None:
+                alpha = stepper.alpha
+                adam_state, step = adam_step(adam_state, g, alpha)
+                x_next = x + step
+            else:
+                alpha = stepper.alpha
+                x_next = x - alpha * g
+
+            trace.records.append(IterationRecord(
+                k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, alpha, theta_k,
+                oracle.eval_count, "ok",
+            ))
+            x = x_next
+            k += 1
+    except DFOError as exc:
+        terminal("failed", detail=str(exc))
+        return trace

@@ -10,6 +10,7 @@ against central finite differences at construction.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -190,8 +191,9 @@ def rosenbrock(n: int) -> TestFunction:
     return _self_test(TestFunction(f"rosenbrock(n={n})", n, value, gradient, consts, "nonconvex"))
 
 
-def corpus() -> dict[str, TestFunction]:
-    """The built-in benchmark instances, keyed by preset name."""
+@functools.cache
+def _presets() -> dict[str, TestFunction]:
+    """Build and self-test every preset once per process."""
     return {
         "sin_n20": synthetic_sin(20, 1.0, 8.0),
         "sin_n100": synthetic_sin(100, 1.0, 8.0),
@@ -202,6 +204,15 @@ def corpus() -> dict[str, TestFunction]:
         "rosenbrock_n4": rosenbrock(4),
         "rosenbrock_n10": rosenbrock(10),
     }
+
+
+def corpus() -> dict[str, TestFunction]:
+    """The built-in benchmark instances, keyed by preset name.
+
+    Returns a fresh dict over the shared, frozen instances, so a caller
+    cannot change what later calls see.
+    """
+    return dict(_presets())
 
 
 def get_function(name: str) -> TestFunction:

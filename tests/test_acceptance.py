@@ -330,6 +330,6 @@ def test_criterion_11_byte_determinism(tmp_path, capsys):
         identical = blobs[0] == blobs[1] == blobs[2]
     with capsys.disabled():
         report(11, codes == [0, 0, 0] and identical,
-               f"exit codes {codes}, rerun and 2-thread outputs byte-identical: "
+               f"exit codes {codes}, rerun and --jobs 2 outputs byte-identical: "
                f"{identical}",
                t.elapsed, 10.0)

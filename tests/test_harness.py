@@ -166,12 +166,11 @@ class TestGradAccuracyRunner:
 
     def test_rerun_byte_identical_and_jobs_invariant(self, tmp_path):
         cfg = grad_cfg(trials=25)
-        dirs = [tmp_path / d for d in ("a", "b", "c")]
-        run_gradient_accuracy(cfg, str(dirs[0]), jobs=1)
-        run_gradient_accuracy(cfg, str(dirs[1]), jobs=1)
-        run_gradient_accuracy(cfg, str(dirs[2]), jobs=2)
-        a, b, c = map(read_bytes_tree, map(str, dirs))
-        assert a == b == c
+        dirs = [tmp_path / d for d in ("a", "b")]
+        run_gradient_accuracy(cfg, str(dirs[0]))
+        run_gradient_accuracy(cfg, str(dirs[1]))
+        a, b = map(read_bytes_tree, map(str, dirs))
+        assert a == b
 
     def test_zero_gradient_rows_are_skipped(self, tmp_path):
         cfg = grad_cfg(estimators=["liod"], sigmas=[0.1], trials=3,
@@ -215,9 +214,14 @@ class TestOptimizationRunner:
             wins += float(a[-1]["phi"]) < float(b[-1]["phi"])
         assert wins >= 2
 
-    def test_jobs_invariant(self, tmp_path):
-        run_optimization(opt_cfg(), str(tmp_path / "a"), jobs=1)
-        run_optimization(opt_cfg(), str(tmp_path / "b"), jobs=2)
+    def test_jobs_invariant(self, tmp_path, capsys):
+        """--jobs is still accepted and changes no output byte."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(opt_cfg()))
+        argv = ["optimize", "--config", str(path), "--out"]
+        assert main(argv + [str(tmp_path / "a")]) == 0
+        assert main(argv + [str(tmp_path / "b"), "--jobs", "2"]) == 0
+        capsys.readouterr()
         assert read_bytes_tree(str(tmp_path / "a")) == read_bytes_tree(str(tmp_path / "b"))
 
     def test_duplicate_method_names_rejected(self, tmp_path):
@@ -325,6 +329,12 @@ class TestCli:
         assert "config error" in err and names_field in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_x0_of_wrong_dimension_exit_two(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, opt_cfg(x0=[1.0, 2.0]))
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "x0 has dimension 2, quad_n10 needs 10" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_subcommand_config_kind_mismatch(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, grad_cfg(trials=5))
         assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -379,3 +389,44 @@ class TestCli:
         out = capsys.readouterr().out
         assert "quad_n10/liod_ls/s0" in out
         assert os.path.exists(tmp_path / "o" / "aggregate.csv")
+
+    def test_grad_accuracy_runtime_failure_is_failed_row(self, tmp_path, capsys):
+        """At sigma = 1e300 every probe value overflows; that trial is a
+        failed row with its replay seed, and the good rows are written."""
+        cfg = grad_cfg(functions=["quad_n10"], estimators=["liod"],
+                       sigmas=[1.0e-2, 1.0e300], trials=3)
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows = read_csv(str(tmp_path / "o" / "records.csv"))
+        assert [(r["sigma"], r["status"]) for r in rows] == (
+            [("0.01", "ok")] * 3 + [("1e+300", "failed")] * 3)
+        for r in rows[3:]:
+            assert r["seed"] and r["theta"] == "" and r["log10_theta"] == ""
+
+    def test_optimize_runtime_failure_is_failed_trace(self, tmp_path, capsys):
+        cfg = opt_cfg(methods=[
+            {"name": "good", "estimator": {"kind": "liod", "sigma": 1.0e-4},
+             "stepper": {"type": "line_search"}},
+            {"name": "huge", "estimator": {"kind": "liod", "sigma": 1.0e300},
+             "stepper": {"type": "line_search"}},
+        ], seeds=[0], budget=500)
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "quad_n10/huge/s0: failed (objective returned a non-finite value" in out
+        _, good = read_csv(str(tmp_path / "o" / "trace_quad_n10__good__s0.csv"))
+        _, bad = read_csv(str(tmp_path / "o" / "trace_quad_n10__huge__s0.csv"))
+        assert good[-1]["status"] != "failed" and float(good[-1]["phi"]) < 1.0e-6
+        assert [r["status"] for r in bad] == ["failed"]
+        assert (tmp_path / "o" / "aggregate.csv").exists()
+
+    def test_optimize_prints_stop_reason(self, tmp_path, capsys):
+        cfg = opt_cfg(functions=["rosenbrock_n4"], seeds=[0], budget=2000, methods=[
+            {"name": "fd", "estimator": {"kind": "fd", "sigma": 1.0e-6},
+             "stepper": {"type": "fixed", "alpha": 1.0}},
+        ])
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "rosenbrock_n4/fd/s0: failed (sampling radius sigma=1.000e-06" in out

@@ -223,6 +223,21 @@ class TestMinimize:
         assert trace.records[-1].g_norm == 0.0
         assert "sigma=1.000e-06" in trace.detail and "||x||=" in trace.detail
 
+    def test_unresolvable_vanishing_estimate_is_failed(self):
+        """A huge fixed step makes quad_n10 diverge until f ~ 8e32 swallows
+        every difference f(x + sigma u_i) - f(x).  Orthonormal rows mix all
+        coordinates, so no probe point equals x, yet the run must not read
+        converged."""
+        trace = minimize(
+            get_function("quad_n10").oracle(), np.ones(10),
+            EstimatorConfig(kind="liod", sigma=1.0e-2), FixedStepConfig(alpha=1000.0),
+            budget=5000,
+        )
+        assert trace.status == "failed"
+        assert trace.records[-1].g_norm == 0.0
+        assert trace.records[-1].phi > 1.0e30
+        assert "sigma=1.000e-02" in trace.detail
+
     def test_budget_must_cover_one_iteration(self):
         fn = quadratic(5, 1.0, 1.0)
         with pytest.raises(ValueError, match="budget"):

@@ -121,6 +121,13 @@ class TestCorpus:
         assert fns["quad_n20"].constants.L == 100.0
         assert fns["rosenbrock_n10"].n == 10
 
+    def test_built_once_and_not_changed_by_callers(self):
+        fns = corpus()
+        assert fns["quad_n5"] is get_function("quad_n5")
+        del fns["sin_n10"]
+        fns["quad_n5"] = None
+        assert "sin_n10" in corpus() and get_function("quad_n5") is not None
+
     def test_get_function_unknown(self):
         with pytest.raises(KeyError, match="preset"):
             get_function("sphere")

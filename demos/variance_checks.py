@@ -19,9 +19,8 @@ import numpy as np
 
 from dfoline import (
     RngStream,
-    Oracle,
-    gaussian_directions,
-    gsg,
+    gsg_covariance_top,
+    gsg_misses,
     gsg_sample_size,
     gsg_variance_bound,
     moment_identity_check,
@@ -30,43 +29,28 @@ from dfoline import (
 REPS = 20_000
 
 
-def linear_oracle(a):
-    a = np.asarray(a, dtype=float)
-    return Oracle(lambda X: np.asarray(X, dtype=float) @ a, a.size,
-                  grad_phi=lambda x: a, vectorized=True, name="linear")
-
-
 def main():
     n, g_norm = 4, 2.0
     a = np.full(n, g_norm / math.sqrt(n))
-    oracle = linear_oracle(a)
-    x = np.zeros(n)
 
     print(f"linear function, n = {n}, ||grad|| = L_f = {g_norm:g}\n")
     print("covariance domination (sample top eigenvalue vs kappa):")
     for N in (1, 2, 4):
-        G = np.empty((REPS, n))
-        base = RngStream(41, 1, (N,))
-        for r in range(REPS):
-            G[r] = gsg(oracle, x, 0.01, gaussian_directions(n, N, base.child(r))).g
-        top = float(np.linalg.eigvalsh(np.cov(G, rowvar=False))[-1])
+        top = gsg_covariance_top(a, N, RngStream(41, 1, (N,)), REPS)
         kappa = gsg_variance_bound(g_norm, g_norm, n, N)
         print(f"  N={N}: top eig {top:8.3f}  kappa {kappa:8.3f}  ratio {top / kappa:.3f}")
 
     delta, theta = 0.1, 0.25
     r_target = theta * g_norm
     N = gsg_sample_size(g_norm, g_norm, n, delta, r_target)
-    misses = 0
     trials = 400
-    for trial in range(trials):
-        est = gsg(oracle, x, 0.01, gaussian_directions(n, N, RngStream(trial, 1)))
-        misses += float(np.linalg.norm(est.g - a)) > r_target
+    misses = gsg_misses(a, N, r_target, (RngStream(trial, 1) for trial in range(trials)))
     print(f"\nsample size: N = {N} for delta = {delta}, r = theta ||grad|| = {r_target}")
     print(f"  miss frequency {misses / trials:.4f} (guarantee {delta}, Chebyshev is loose)")
 
     res = moment_identity_check(2, n, samples=200_000, rng=RngStream(7))
     print("\nmoment identity E[(u^T u) u u^T] = (n+2) I:")
-    print(f"  max deviation {res.max_deviation:.4f} vs 3 SE = {3 * res.se_max:.4f}")
+    print(f"  max deviation {res.max_deviation:.4f} vs 3 SE = {res.tolerance:.4f}")
 
 
 if __name__ == "__main__":

@@ -37,8 +37,11 @@ from .bounds import (
     convex_gap_bound,
     eta,
     gaussian_smoothing_constants,
+    gsg_covariance_top,
+    gsg_misses,
     gsg_sample_size,
     gsg_variance_bound,
+    interpolation_error,
     interpolation_error_bound,
     moment_identity_check,
     nonconvex_avg_bound,
@@ -106,8 +109,11 @@ __all__ = [
     "gaussian_smoothing_constants",
     "get_function",
     "gsg",
+    "gsg_covariance_top",
+    "gsg_misses",
     "gsg_sample_size",
     "gsg_variance_bound",
+    "interpolation_error",
     "interpolation_error_bound",
     "interpolation_gradient",
     "minimize",

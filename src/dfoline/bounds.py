@@ -2,18 +2,25 @@
 interpolation accuracy, and smoothed-gradient variance / sample-size bounds.
 
 Every function here is pure arithmetic on problem and line-search constants,
-except :func:`moment_identity_check`, which Monte-Carlo-verifies the Gaussian
-moment identities the variance bounds rest on.
+except the Monte Carlo measurements the theory checks compare against them:
+:func:`interpolation_error` (the LIOD error the interpolation bound caps),
+:func:`gsg_covariance_top` (the gsg covariance spectrum kappa caps) and
+:func:`gsg_misses` (the misses the Chebyshev sample size makes rare), plus
+:func:`moment_identity_check`, which verifies the Gaussian moment identities
+the variance bounds rest on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import DFOError, RngStream
+from .core import DFOError, Oracle, RngStream
+from .directions import gaussian_directions, orthonormal_directions
+from .estimators import gsg, interpolation_gradient
 
 
 class InfeasibleConstantsError(DFOError):
@@ -298,14 +305,58 @@ def gaussian_smoothing_constants(sigma: float, L_f: float, n: int) -> tuple[floa
     return sigma * root_n * L_f, root_n * L_f / sigma
 
 
+# ---------------------------------------------------------------------------
+# Monte Carlo measurements of the quantities the bounds above cap
+
+
+def interpolation_error(oracle: Oracle, x, sigma: float, stream: RngStream) -> float:
+    """||g - grad phi(x)|| of the LIOD estimate at x, the quantity
+    :func:`interpolation_error_bound` caps.
+
+    The n orthonormal directions are drawn from ``stream``; grad phi comes
+    from ``oracle.grad_phi``.
+    """
+    n = oracle.dimension
+    est = interpolation_gradient(oracle, x, sigma, orthonormal_directions(n, n, stream))
+    return float(np.linalg.norm(est.g - oracle.grad_phi(x)))
+
+
+def _linear_gsg(a: np.ndarray, N: int, streams, sigma: float):
+    """gsg estimates of the gradient a of phi = a^T x at the origin, one per stream."""
+    oracle, x = Oracle(lambda X: X @ a, a.size, vectorized=True), np.zeros(a.size)
+    for stream in streams:
+        yield gsg(oracle, x, sigma, gaussian_directions(a.size, N, stream)).g
+
+
+def gsg_covariance_top(a, N: int, base: RngStream, reps: int, sigma: float = 0.01) -> float:
+    """Top eigenvalue of the sample covariance of gsg on phi = a^T x at 0,
+    the quantity :func:`gsg_variance_bound` caps (with g = L_f = ||a||).
+
+    Estimate r uses the N directions of ``base.child(r)``.
+    """
+    a = np.asarray(a, dtype=float)
+    estimates = np.empty((reps, a.size))
+    for r, g in enumerate(_linear_gsg(a, N, map(base.child, range(reps)), sigma)):
+        estimates[r] = g
+    cov = np.cov(estimates, rowvar=False).reshape(a.size, a.size)
+    return float(np.linalg.eigvalsh(cov)[-1])
+
+
+def gsg_misses(a, N: int, r: float, streams, sigma: float = 0.01) -> int:
+    """How many gsg estimates of the gradient a of phi = a^T x at 0, one per
+    stream, miss it by more than r: the event :func:`gsg_sample_size` makes
+    rarer than delta."""
+    a = np.asarray(a, dtype=float)
+    return sum(float(np.linalg.norm(g - a)) > r for g in _linear_gsg(a, N, streams, sigma))
+
+
 @dataclass(frozen=True)
 class MomentCheckResult:
     """Monte Carlo moment estimate vs closed form.
 
     ``stderr`` is the empirical per-entry standard error of the mean;
     ``se_max`` is the scalar tolerance unit sqrt(max-entry second moment /
-    samples), conservative since second moment >= variance.  The canonical
-    pass condition is max_deviation <= 3 * se_max.
+    samples), conservative since second moment >= variance.
     """
 
     identity_id: int
@@ -316,20 +367,52 @@ class MomentCheckResult:
     se_max: float
     samples: int
 
+    @property
+    def tolerance(self) -> float:
+        """The pass threshold: 3 standard-error units."""
+        return 3.0 * self.se_max
 
-#: identity_id -> human-readable statement, in the order the variance proof
-#: uses them.  Ids 3, 4, 6 involve the fixed vector a.
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance
+
+
+@dataclass(frozen=True)
+class MomentIdentity:
+    """E[h(u)] = ``exact(n, a)`` for u ~ N(0, I_n).  ``integrand(U, a)`` gives
+    one value per row of U: h(u) for a ``scalar`` identity, else the weight w
+    in h(u) = w u u^T.  ``needs_a`` identities involve the fixed vector a."""
+
+    statement: str
+    integrand: Callable
+    exact: Callable
+    needs_a: bool = False
+    scalar: bool = False
+
+
+def _sq_norms(U):
+    return np.sum(U * U, axis=1)
+
+
+#: identity_id -> identity, in the order the variance proof uses them.
 MOMENT_IDENTITIES = {
-    1: "E[u u^T] = I",
-    2: "E[(u^T u) u u^T] = (n+2) I",
-    3: "E[(a^T u)^2 u u^T] = (a^T a) I + 2 a a^T",
-    4: "E[(a^T u)(u^T u) u u^T] = 0",
-    5: "E[(u^T u)^2 u u^T] = (n+2)(n+4) I",
-    6: "E[(a^T u) ||u||^3] = 0",
-    7: "E[(u^T u)^3 u u^T] = (n+2)(n+4)(n+6) I",
+    1: MomentIdentity("E[u u^T] = I", lambda U, a: np.ones(len(U)), lambda n, a: np.eye(n)),
+    2: MomentIdentity("E[(u^T u) u u^T] = (n+2) I", lambda U, a: _sq_norms(U),
+                      lambda n, a: (n + 2.0) * np.eye(n)),
+    3: MomentIdentity("E[(a^T u)^2 u u^T] = (a^T a) I + 2 a a^T", lambda U, a: (U @ a) ** 2,
+                      lambda n, a: float(a @ a) * np.eye(n) + 2.0 * np.outer(a, a), True),
+    4: MomentIdentity("E[(a^T u)(u^T u) u u^T] = 0", lambda U, a: (U @ a) * _sq_norms(U),
+                      lambda n, a: np.zeros((n, n)), True),
+    5: MomentIdentity("E[(u^T u)^2 u u^T] = (n+2)(n+4) I", lambda U, a: _sq_norms(U) ** 2,
+                      lambda n, a: (n + 2.0) * (n + 4.0) * np.eye(n)),
+    6: MomentIdentity("E[(a^T u) ||u||^3] = 0", lambda U, a: (U @ a) * _sq_norms(U) ** 1.5,
+                      lambda n, a: 0.0, True, True),
+    # Sum over i of E[(u^T u)^3 u_i^2] is the fourth moment of a chi^2_n
+    # variable, n(n+2)(n+4)(n+6), so each diagonal entry is the product of
+    # the last three factors.
+    7: MomentIdentity("E[(u^T u)^3 u u^T] = (n+2)(n+4)(n+6) I", lambda U, a: _sq_norms(U) ** 3,
+                      lambda n, a: (n + 2.0) * (n + 4.0) * (n + 6.0) * np.eye(n)),
 }
-
-_NEEDS_A = (3, 4, 6)
 
 
 def moment_identity_check(
@@ -345,9 +428,10 @@ def moment_identity_check(
     result is deterministic given rng) and accumulates entrywise mean and
     standard error of the integrand.  Returns the empirical moment, the
     closed form, the largest entrywise deviation, and the entrywise standard
-    error so callers can apply a CLT tolerance.
+    error; ``passed`` applies the CLT tolerance.
     """
-    if identity_id not in MOMENT_IDENTITIES:
+    identity = MOMENT_IDENTITIES.get(identity_id)
+    if identity is None:
         raise ValueError(
             f"unknown identity id {identity_id}; known ids are {sorted(MOMENT_IDENTITIES)}"
         )
@@ -355,20 +439,16 @@ def moment_identity_check(
         raise ValueError(f"dimension must be >= 1, got {n}")
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples for a meaningful check, got {samples}")
-    if identity_id in _NEEDS_A:
+    if identity.needs_a:
         if a is None:
             raise ValueError(f"identity {identity_id} needs the fixed vector a")
         a = np.asarray(a, dtype=float)
         if a.shape != (n,):
             raise ValueError(f"a must have shape ({n},), got {a.shape}")
 
-    if isinstance(rng, RngStream):
-        gen = rng.generator()
-    else:
-        gen = RngStream(int(rng)).generator()
+    gen = (rng if isinstance(rng, RngStream) else RngStream(int(rng))).generator()
 
-    scalar = identity_id == 6
-    shape = () if scalar else (n, n)
+    shape = () if identity.scalar else (n, n)
     total = np.zeros(shape)
     total_sq = np.zeros(shape)
     remaining = samples
@@ -376,23 +456,11 @@ def moment_identity_check(
     while remaining > 0:
         m = min(chunk_size, remaining)
         U = gen.standard_normal((m, n))
-        if scalar:
-            z = (U @ a) * np.sum(U * U, axis=1) ** 1.5
-            total += z.sum()
-            total_sq += (z * z).sum()
+        w = identity.integrand(U, a)
+        if identity.scalar:
+            total += w.sum()
+            total_sq += (w * w).sum()
         else:
-            if identity_id == 1:
-                w = np.ones(m)
-            elif identity_id == 2:
-                w = np.sum(U * U, axis=1)
-            elif identity_id == 3:
-                w = (U @ a) ** 2
-            elif identity_id == 4:
-                w = (U @ a) * np.sum(U * U, axis=1)
-            elif identity_id == 5:
-                w = np.sum(U * U, axis=1) ** 2
-            else:  # 7
-                w = np.sum(U * U, axis=1) ** 3
             # sum_k w_k u_k u_k^T and its entrywise square, without an
             # (m, n, n) intermediate
             total += np.einsum("k,ki,kj->ij", w, U, U)
@@ -404,27 +472,9 @@ def moment_identity_check(
     variance = np.maximum(second_moment - empirical**2, 0.0)
     stderr = np.sqrt(variance / samples)
     se_max = float(np.sqrt(np.max(second_moment) / samples))
-
-    if identity_id == 1:
-        exact = np.eye(n)
-    elif identity_id == 2:
-        exact = (n + 2.0) * np.eye(n)
-    elif identity_id == 3:
-        exact = float(a @ a) * np.eye(n) + 2.0 * np.outer(a, a)
-    elif identity_id == 4:
-        exact = np.zeros((n, n))
-    elif identity_id == 5:
-        exact = (n + 2.0) * (n + 4.0) * np.eye(n)
-    elif identity_id == 6:
-        exact = 0.0
-    else:
-        # Sum over i of E[(u^T u)^3 u_i^2] is the fourth moment of a chi^2_n
-        # variable, n(n+2)(n+4)(n+6), so each diagonal entry is the product
-        # of the last three factors.
-        exact = (n + 2.0) * (n + 4.0) * (n + 6.0) * np.eye(n)
-
+    exact = identity.exact(n, a)
     max_dev = float(np.max(np.abs(empirical - exact)))
-    if scalar:
+    if identity.scalar:
         empirical = float(empirical)
         stderr = float(stderr)
     return MomentCheckResult(identity_id, empirical, exact, max_dev, stderr, se_max, samples)

@@ -19,7 +19,7 @@ ACCURACY_COLUMNS = [
 
 SUMMARY_COLUMNS = [
     "experiment_id", "function", "n", "estimator", "method", "N", "sigma",
-    "count", "skipped", "mean_log10_theta", "q1_log10_theta",
+    "count", "skipped", "failed", "mean_log10_theta", "q1_log10_theta",
     "median_log10_theta", "q3_log10_theta",
 ]
 

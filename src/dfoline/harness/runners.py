@@ -17,24 +17,20 @@ import os
 import numpy as np
 
 from ..bounds import (
+    MOMENT_IDENTITIES,
     LineSearchConstants,
     alpha_bar,
     eta,
+    gsg_covariance_top,
+    gsg_misses,
     gsg_sample_size,
     gsg_variance_bound,
+    interpolation_error,
     interpolation_error_bound,
     moment_identity_check,
 )
-from ..core import DFOError, NoiseModel, Oracle, RngStream
-from ..directions import gaussian_directions, orthonormal_directions
-from ..estimators import (
-    ESTIMATORS,
-    UndefinedMetricError,
-    estimate,
-    gsg,
-    interpolation_gradient,
-    relative_error,
-)
+from ..core import DFOError, NoiseModel, RngStream
+from ..estimators import ESTIMATORS, UndefinedMetricError, estimate, relative_error
 from ..optimizer import (
     STEPPERS,
     EstimatorConfig,
@@ -81,7 +77,7 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     quartiles of log10 theta.  Interpolation estimators are pinned to N = n,
     so direction-count factors other than 1 apply only to gsg/cgsg.  A trial
     whose estimate raises a runtime failure is recorded as "failed", with its
-    replay seed and no theta.
+    replay seed and no theta, and counted in its group's "failed" column.
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
@@ -130,11 +126,11 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     summaries = []
     for (fname, est, sigma, N), group in groups.items():
         logs = [r["log10_theta"] for r in group if r["log10_theta"] is not None]
-        skipped = sum(1 for r in group if r["status"] == "skipped")
         summary = {
             "experiment_id": exp_id, "function": fname, "n": fns[fname].n,
-            "estimator": est, "method": "", "N": N, "sigma": sigma,
-            "count": len(logs), "skipped": skipped,
+            "estimator": est, "method": "", "N": N, "sigma": sigma, "count": len(logs),
+            "skipped": sum(r["status"] == "skipped" for r in group),
+            "failed": sum(r["status"] == "failed" for r in group),
         }
         if logs:
             q1, med, q3 = np.percentile(logs, [25.0, 50.0, 75.0])
@@ -263,141 +259,94 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
 # verify-bounds checks
 
 
+def _worst_case(check: str, cases, details: str) -> dict:
+    """The report entry of one check from its (slack, witness or None) cases:
+    the least slack is the margin, the first witness fails the check, and a
+    check with no case fails with no margin.  ``{worst}`` in ``details`` is
+    filled with the margin."""
+    worst = min((slack for slack, _ in cases), default=math.inf)
+    witness = next((w for _, w in cases if w is not None), None)
+    details = details.format(worst=worst)
+    if not cases:
+        return {"check": check, "passed": False, "margin": None,
+                "details": f"0 trials: {details}", "witness": None}
+    return {"check": check, "passed": witness is None, "margin": worst,
+            "details": details, "witness": witness}
+
+
 def _check_interpolation_bound(cfg, root) -> dict:
     noise_cfg = cfg.get("noise", {"kind": "uniform", "bound": 1.0e-5})
-    actual = noise_cfg.get("bound", 0.0)
-    declared = cfg.get("declared_eps_f", actual)
+    declared = cfg.get("declared_eps_f", noise_cfg.get("bound", 0.0))
     sigmas = cfg.get("sigmas", [1.0e-2, 1.0e-4])
-    trials = cfg.get("trials", 1000)
-    fnames = ["sin_n10", "quad_n10"]
-    combos = [(f, s) for f in fnames for s in sigmas]
-    per = max(1, trials // len(combos))
-    worst = math.inf
-    witness = None
-    count = 0
+    combos = [(f, s) for f in ("sin_n10", "quad_n10") for s in sigmas]
+    per = max(1, cfg.get("trials", 1000) // len(combos))
+    cases = []
     for fname, sigma in combos:
         fn = get_function(fname)
-        consts = dataclasses.replace(fn.constants, eps_f=declared)
+        bound = interpolation_error_bound(
+            sigma, fn.n, dataclasses.replace(fn.constants, eps_f=declared))
         for t in range(per):
             seed = record_seed(root, "interp", fname, repr(sigma), t)
             oracle = fn.oracle(_noise_model(noise_cfg, seed))
             x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
-            dirs = orthonormal_directions(fn.n, fn.n, RngStream(seed, 1))
-            est = interpolation_gradient(oracle, x, sigma, dirs)
-            err = float(np.linalg.norm(est.g - fn.gradient(x)))
-            bound = interpolation_error_bound(sigma, fn.n, consts)
-            count += 1
-            slack = (bound - err) / bound
-            if slack < worst:
-                worst = slack
-            if err > bound * (1.0 + 1.0e-9) and witness is None:
-                witness = {
-                    "function": fname, "sigma": sigma, "seed": seed,
-                    "error": err, "bound": bound, "declared_eps_f": declared,
-                }
-    return {
-        "check": "interpolation_error_bound",
-        "passed": witness is None,
-        "margin": worst,
-        "details": f"{count} trials; worst relative slack {worst:.3e}",
-        "witness": witness,
-    }
+            err = interpolation_error(oracle, x, sigma, RngStream(seed, 1))
+            witness = {"function": fname, "sigma": sigma, "seed": seed,
+                       "error": err, "bound": bound, "declared_eps_f": declared}
+            cases.append(((bound - err) / bound,
+                          witness if err > bound * (1.0 + 1.0e-9) else None))
+    return _worst_case("interpolation_error_bound", cases,
+                       f"{len(cases)} trials; worst relative slack {{worst:.3e}}")
 
 
 def _check_variance_domination(cfg, root) -> dict:
     reps = cfg.get("variance_reps", 20000)
-    dims = [n for n in cfg.get("dimensions", [2, 3, 5]) if n <= 8]
-    worst = math.inf
-    witness = None
-    details = []
-    for n in dims:
+    cases, details = [], []
+    for n in [n for n in cfg.get("dimensions", [2, 3, 5]) if n <= 8]:
         a = RngStream(record_seed(root, "var", n), 3).generator().standard_normal(n)
         a_norm = float(np.linalg.norm(a))
-        oracle = Oracle(lambda X, a=a: X @ a, n, vectorized=True)
         for N in (1, 4):
-            estimates = np.empty((reps, n))
-            base = RngStream(record_seed(root, "var", n, N), 1)
-            for r in range(reps):
-                dirs = gaussian_directions(n, N, base.child(r))
-                estimates[r] = gsg(oracle, np.zeros(n), 0.01, dirs).g
-            cov = np.cov(estimates, rowvar=False).reshape(n, n)
-            max_eig = float(np.linalg.eigvalsh(cov)[-1])
+            max_eig = gsg_covariance_top(a, N, RngStream(record_seed(root, "var", n, N), 1), reps)
             kappa = gsg_variance_bound(a_norm, a_norm, n, N)
             ratio = max_eig / kappa
             details.append(f"n={n},N={N}: max_eig/kappa={ratio:.3f}")
-            if 1.0 - ratio < worst:
-                worst = 1.0 - ratio
-            if max_eig > kappa and witness is None:
-                witness = {"n": n, "N": N, "max_eig": max_eig, "kappa": kappa}
-    return {
-        "check": "gsg_variance_domination",
-        "passed": witness is None,
-        "margin": worst,
-        "details": "; ".join(details) or "runs only at dimensions <= 8",
-        "witness": witness,
-    }
+            witness = {"n": n, "N": N, "max_eig": max_eig, "kappa": kappa}
+            cases.append((1.0 - ratio, witness if max_eig > kappa else None))
+    return _worst_case("gsg_variance_domination", cases,
+                       "; ".join(details) or "runs only at dimensions <= 8")
 
 
 def _check_sample_size(cfg, root) -> dict:
     delta = cfg.get("delta", 0.1)
-    theta = cfg.get("theta", 0.25)
+    r = cfg.get("theta", 0.25)  # theta ||grad phi||, as ||a|| = 1
     trials = cfg.get("trials", 1000)
     n = min(cfg.get("dimensions", [2, 3, 5]))
-    gen = RngStream(record_seed(root, "size", n), 3).generator()
-    a = gen.standard_normal(n)
+    a = RngStream(record_seed(root, "size", n), 3).generator().standard_normal(n)
     a /= np.linalg.norm(a)
-    oracle = Oracle(lambda X: X @ a, n, vectorized=True)
-    r = theta * 1.0
     N = gsg_sample_size(1.0, 1.0, n, delta, r)
     base = RngStream(record_seed(root, "size", n, N), 1)
-    violations = 0
-    for t in range(trials):
-        dirs = gaussian_directions(n, N, base.child(t))
-        g = gsg(oracle, np.zeros(n), 0.01, dirs).g
-        if np.linalg.norm(g - a) > r:
-            violations += 1
+    violations = gsg_misses(a, N, r, (base.child(t) for t in range(trials)))
     freq = violations / trials
-    return {
-        "check": "gsg_sample_size",
-        "passed": freq <= delta,
-        "margin": delta - freq,
-        "details": f"n={n}, N={N}: {violations}/{trials} violations (freq {freq:.4f} vs delta {delta})",
-        "witness": None if freq <= delta else {"n": n, "N": N, "frequency": freq},
-    }
+    witness = None if freq <= delta else {"n": n, "N": N, "frequency": freq}
+    return _worst_case(
+        "gsg_sample_size", [(delta - freq, witness)],
+        f"n={n}, N={N}: {violations}/{trials} violations (freq {freq:.4f} vs delta {delta})")
 
 
 def _check_moment_identities(cfg, root) -> dict:
     samples = cfg.get("samples", 200_000)
-    dims = cfg.get("dimensions", [2, 3, 5])
-    worst = math.inf
-    witness = None
-    checked = 0
-    for n in dims:
-        a_stream = RngStream(record_seed(root, "moments", n), 3)
-        a = a_stream.generator().standard_normal(n)
-        for identity_id in range(1, 8):
+    cases = []
+    for n in cfg.get("dimensions", [2, 3, 5]):
+        a = RngStream(record_seed(root, "moments", n), 3).generator().standard_normal(n)
+        for identity_id in MOMENT_IDENTITIES:
             res = moment_identity_check(
                 identity_id, n, a=a, samples=samples,
                 rng=RngStream(record_seed(root, "moments", n, identity_id), 1),
             )
-            limit = 3.0 * res.se_max
-            slack = limit - res.max_deviation
-            checked += 1
-            if slack < worst:
-                worst = slack
-            if res.max_deviation > limit and witness is None:
-                witness = {
-                    "identity": identity_id, "n": n,
-                    "max_deviation": res.max_deviation,
-                    "tolerance": limit,
-                }
-    return {
-        "check": "gaussian_moment_identities",
-        "passed": witness is None,
-        "margin": worst,
-        "details": f"{checked} identity checks at {samples} samples, 3 SE tolerance",
-        "witness": witness,
-    }
+            witness = {"identity": identity_id, "n": n,
+                       "max_deviation": res.max_deviation, "tolerance": res.tolerance}
+            cases.append((res.tolerance - res.max_deviation, None if res.passed else witness))
+    return _worst_case("gaussian_moment_identities", cases,
+                       f"{len(cases)} identity checks at {samples} samples, 3 SE tolerance")
 
 
 def _check_armijo_guarantee(cfg, root) -> dict:
@@ -406,13 +355,10 @@ def _check_armijo_guarantee(cfg, root) -> dict:
     theta = cfg.get("theta", 0.25)
     trials = min(cfg.get("trials", 1000), 200)
     fn = get_function("quad_n5")
-    L = fn.constants.L
     c = LineSearchConstants(c1=0.2, tau=0.3, theta=theta)
-    abar = alpha_bar(c, L)
-    eta_val = eta(c, L)
-    failures = 0
-    worst = math.inf
-    witness = None
+    abar = alpha_bar(c, fn.constants.L)
+    eta_val = eta(c, fn.constants.L)
+    cases = []
     for t in range(trials):
         seed = record_seed(root, "armijo", t)
         gen = RngStream(seed, 2).generator()
@@ -429,60 +375,38 @@ def _check_armijo_guarantee(cfg, root) -> dict:
         # any step at or below alpha_bar must pass the relaxed test
         alpha = abar * gen.random()
         f_curr = oracle.evaluate(x)
-        f_trial = oracle.evaluate(x - alpha * g)
-        lhs = f_trial
+        lhs = oracle.evaluate(x - alpha * g)
         rhs = f_curr - c.c1 * alpha * float(g @ g) + 2.0 * eps_f
-        if lhs > rhs:
-            failures += 1
-            if witness is None:
-                witness = {"trial": t, "alpha": alpha, "lhs": lhs, "rhs": rhs}
+        witness = {"trial": t, "alpha": alpha, "lhs": lhs, "rhs": rhs} if lhs > rhs else None
         # a full backtracking pass certifies at least the eta-rate decrease
-        state = LineSearchState(alpha=1.0)
         x_next, _ = backtracking_step(
-            oracle, x, g, state, c.c1, c.tau, eps_f, f_curr=f_curr
+            oracle, x, g, LineSearchState(alpha=1.0), c.c1, c.tau, eps_f, f_curr=f_curr
         )
         decrease_bound = fn.value(x) - eta_val * grad_norm**2 + 4.0 * eps_f
         slack = float(decrease_bound - fn.value(x_next))
-        if slack < worst:
-            worst = slack
         if slack < 0 and witness is None:
-            failures += 1
             witness = {"trial": t, "phi_next": float(fn.value(x_next)),
                        "guarantee": decrease_bound}
-    return {
-        "check": "armijo_decrease_guarantee",
-        "passed": failures == 0 and worst >= 0,
-        "margin": worst,
-        "details": f"{trials} trials; worst decrease slack {worst:.3e}",
-        "witness": witness,
-    }
+        cases.append((slack, witness))
+    return _worst_case("armijo_decrease_guarantee", cases,
+                       f"{trials} trials; worst decrease slack {{worst:.3e}}")
 
 
 def _check_noise_bound(cfg, root) -> dict:
     noise_cfg = cfg.get("noise", {"kind": "uniform", "bound": 1.0e-5})
-    actual = noise_cfg.get("bound", 0.0)
-    declared = cfg.get("declared_eps_f", actual)
+    declared = cfg.get("declared_eps_f", noise_cfg.get("bound", 0.0))
     trials = cfg.get("trials", 1000)
     fn = get_function("sin_n10")
     seed = record_seed(root, "noise")
     oracle = fn.oracle(_noise_model(noise_cfg, seed))
     X = RngStream(seed, 2).generator().uniform(-2.0, 2.0, (trials, fn.n))
-    eps = oracle.evaluate_batch(X) - fn.value(X)
-    worst = float(np.max(np.abs(eps)))
-    passed = worst <= declared + 1.0e-15
-    witness = None
-    if not passed:
-        idx = int(np.argmax(np.abs(eps)))
-        witness = {
-            "x": X[idx].tolist(), "abs_eps": worst, "declared_eps_f": declared,
-        }
-    return {
-        "check": "noise_bound",
-        "passed": passed,
-        "margin": (declared - worst) / declared if declared > 0 else -worst,
-        "details": f"max |f - phi| = {worst:.3e} over {trials} points vs declared {declared:.3e}",
-        "witness": witness,
-    }
+    eps = np.abs(oracle.evaluate_batch(X) - fn.value(X))
+    worst = float(np.max(eps))
+    witness = {"x": X[int(np.argmax(eps))].tolist(), "abs_eps": worst, "declared_eps_f": declared}
+    return _worst_case(
+        "noise_bound", [((declared - worst) / declared if declared > 0 else -worst,
+                         witness if worst > declared + 1.0e-15 else None)],
+        f"max |f - phi| = {worst:.3e} over {trials} points vs declared {declared:.3e}")
 
 
 _CHECKS = {
@@ -507,9 +431,6 @@ def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
     root = cfg.get("seed", 0)
     names = cfg.get("checks", list(_CHECKS))
     results = [_CHECKS[name](cfg, root) for name in names]
-    for r in results:
-        if r["margin"] == math.inf:  # a worst case taken over no trial
-            r.update(passed=False, margin=None, details=f"0 trials: {r['details']}")
     report = {
         "experiment_id": exp_id,
         "config_sha256": cfg_hash,

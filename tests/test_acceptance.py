@@ -25,8 +25,11 @@ from dfoline import (
     gaussian_directions,
     get_function,
     gsg,
+    gsg_covariance_top,
+    gsg_misses,
     gsg_sample_size,
     gsg_variance_bound,
+    interpolation_error,
     interpolation_error_bound,
     interpolation_gradient,
     minimize,
@@ -95,9 +98,7 @@ def test_criterion_02_error_bound_is_hard():
                 sigma = (1.0e-2, 1.0e-4)[trial % 2]
                 oracle = fn.oracle(NoiseModel("uniform", eps_f, seed=trial * 7 + 1))
                 x = RngStream(trial, 2, (fn.n,)).generator().uniform(-2.0, 2.0, fn.n)
-                dirs = orthonormal_directions(fn.n, fn.n, RngStream(trial, 1, (fn.n,)))
-                est = interpolation_gradient(oracle, x, sigma, dirs)
-                err = float(np.linalg.norm(est.g - fn.gradient(x)))
+                err = interpolation_error(oracle, x, sigma, RngStream(trial, 1, (fn.n,)))
                 bound = interpolation_error_bound(sigma, fn.n, consts)
                 worst_ratio = max(worst_ratio, err / bound)
                 trials += 1
@@ -164,16 +165,9 @@ def test_criterion_05_variance_domination():
         worst = 0.0
         details = []
         for n in (2, 4):
-            a = np.full(n, a_norm / math.sqrt(n))
-            oracle = linear_oracle(a)  # value Lipschitz constant is ||a||
-            x = np.zeros(n)
+            a = np.full(n, a_norm / math.sqrt(n))  # value Lipschitz constant is ||a||
             for N in (1, 4):
-                G = np.empty((reps, n))
-                base = RngStream(41, 1, (n, N))
-                for r in range(reps):
-                    G[r] = gsg(oracle, x, 0.01, gaussian_directions(n, N, base.child(r))).g
-                cov = np.cov(G, rowvar=False, ddof=1)
-                top = float(np.linalg.eigvalsh(cov)[-1])
+                top = gsg_covariance_top(a, N, RngStream(41, 1, (n, N)), reps)
                 kappa = gsg_variance_bound(a_norm, a_norm, n, N)
                 worst = max(worst, top / kappa)
                 details.append(f"n={n},N={N}: {top / kappa:.3f}")
@@ -186,15 +180,10 @@ def test_criterion_06_sample_size_guarantee():
     """The Chebyshev sample size keeps the miss frequency under delta."""
     n, delta, theta = 2, 0.1, 0.25
     a = np.array([1.0, 0.0])  # ||grad|| = 1, value Lipschitz constant 1
-    oracle = linear_oracle(a)
     with Timer() as t:
         N = gsg_sample_size(1.0, 1.0, n, delta, theta * 1.0)
-        misses = 0
         trials = 1000
-        for trial in range(trials):
-            est = gsg(oracle, np.zeros(n), 0.01,
-                      gaussian_directions(n, N, RngStream(trial, 1, (N,))))
-            misses += float(np.linalg.norm(est.g - a)) > theta
+        misses = gsg_misses(a, N, theta, (RngStream(trial, 1, (N,)) for trial in range(trials)))
         freq = misses / trials
     report(6, N == 6400 and freq <= delta,
            f"N {N}, miss frequency {freq:.4f} vs delta {delta}",

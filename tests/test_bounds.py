@@ -324,9 +324,9 @@ class TestMomentIdentities:
                     identity_id, n, a=a, samples=50_000,
                     rng=RngStream(88, 1, (n, identity_id)),
                 )
-                assert res.max_deviation <= 3.0 * res.se_max, (
+                assert res.passed, (
                     f"identity {identity_id} at n={n}: "
-                    f"{res.max_deviation} > {3.0 * res.se_max}"
+                    f"{res.max_deviation} > {res.tolerance}"
                 )
                 assert res.samples == 50_000
 
@@ -335,7 +335,8 @@ class TestMomentIdentities:
         tolerance unit is sqrt(3 / samples)."""
         res = moment_identity_check(1, 2, samples=10**6, rng=RngStream(5))
         assert math.isclose(res.se_max, math.sqrt(3.0 / 10**6), rel_tol=0.02)
-        assert res.max_deviation <= 3.0 * res.se_max
+        assert res.tolerance == 3.0 * res.se_max
+        assert res.passed and res.max_deviation <= res.tolerance
 
     def test_exact_forms(self):
         n = 3

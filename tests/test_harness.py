@@ -2,9 +2,11 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
+from dfoline import NoiseModel, RngStream, get_function, interpolation_error
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
 from dfoline.harness.csvio import read_csv, record_seed, write_csv
@@ -49,6 +51,21 @@ def opt_cfg(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def check_noise_witness(witness, noise):
+    assert witness["abs_eps"] > witness["declared_eps_f"]
+    assert len(witness["x"]) >= 1
+
+
+def replay_interpolation_witness(witness, noise):
+    """The witness's function, sigma and seed give its error again, exactly."""
+    fn = get_function(witness["function"])
+    seed = witness["seed"]
+    oracle = fn.oracle(NoiseModel(noise["kind"], noise["bound"], seed=seed))
+    x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
+    assert interpolation_error(oracle, x, witness["sigma"], RngStream(seed, 1)) == witness["error"]
+    assert witness["error"] > witness["bound"]
 
 
 def read_bytes_tree(root):
@@ -271,23 +288,28 @@ class TestVerifyRunner:
                              parse_constant=lambda name: pytest.fail(name))
         assert on_disk["checks"][0]["margin"] is None
 
-    def test_noise_bound_negative_control(self, tmp_path):
+    @pytest.mark.parametrize("check, declared_eps_f, check_witness", [
+        ("noise_bound", 1.0e-9, check_noise_witness),
+        ("interpolation_error_bound", 1.0e-12, replay_interpolation_witness),
+    ], ids=["noise_bound", "interpolation_error_bound"])
+    def test_noise_bound_negative_control(self, tmp_path, check, declared_eps_f,
+                                          check_witness):
         """Declaring a smaller eps_f than the oracle actually emits must
-        flip the noise check to FAIL and serialize a witness point."""
+        flip the check to FAIL and serialize a witness that replays."""
+        noise = {"kind": "uniform", "bound": 1.0e-5}
         cfg = {
             "experiment": "verify_bounds",
-            "checks": ["noise_bound"],
-            "declared_eps_f": 1.0e-9,
-            "noise": {"kind": "uniform", "bound": 1.0e-5},
+            "checks": [check],
+            "declared_eps_f": declared_eps_f,
+            "noise": noise,
             "trials": 200,
             "seed": 0,
         }
         report = run_verify_bounds(cfg, str(tmp_path))
         assert report["all_pass"] is False
-        check = report["checks"][0]
-        assert check["passed"] is False
-        assert check["witness"]["abs_eps"] > 1.0e-9
-        assert len(check["witness"]["x"]) >= 1
+        assert report["checks"][0]["passed"] is False
+        on_disk = json.loads((tmp_path / "report.json").read_text())
+        check_witness(on_disk["checks"][0]["witness"], noise)
 
 
 class TestCli:
@@ -403,6 +425,27 @@ class TestCli:
             [("0.01", "ok")] * 3 + [("1e+300", "failed")] * 3)
         for r in rows[3:]:
             assert r["seed"] and r["theta"] == "" and r["log10_theta"] == ""
+
+    def test_grad_accuracy_failed_rows_counted_in_summary(self, tmp_path, capsys):
+        """A group whose trials all failed is not a group that ran none."""
+        cfg = grad_cfg(functions=["quad_n10"], estimators=["liod"],
+                       sigmas=[1.0e-2, 1.0e300], trials=3)
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        _, summaries = read_csv(str(tmp_path / "o" / "summary.csv"))
+        assert [(s["sigma"], s["count"], s["skipped"], s["failed"]) for s in summaries] == [
+            ("0.01", "3", "0", "0"), ("1e+300", "0", "0", "3")]
+
+    def test_overflowing_run_prints_no_numpy_warning(self, tmp_path, capsys):
+        cfg = grad_cfg(functions=["quad_n10"], estimators=["liod"],
+                       sigmas=[1.0e300], trials=3)
+        path = self.write_cfg(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        _, rows = read_csv(str(tmp_path / "o" / "records.csv"))
+        assert [r["status"] for r in rows] == ["failed"] * 3
 
     def test_optimize_runtime_failure_is_failed_trace(self, tmp_path, capsys):
         cfg = opt_cfg(methods=[

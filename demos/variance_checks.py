@@ -44,7 +44,7 @@ def main():
     r_target = theta * g_norm
     N = gsg_sample_size(g_norm, g_norm, n, delta, r_target)
     trials = 400
-    misses = gsg_misses(a, N, r_target, (RngStream(trial, 1) for trial in range(trials)))
+    misses = gsg_misses(a, N, r_target, RngStream(0, 1), trials)
     print(f"\nsample size: N = {N} for delta = {delta}, r = theta ||grad|| = {r_target}")
     print(f"  miss frequency {misses / trials:.4f} (guarantee {delta}, Chebyshev is loose)")
 

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .core import DFOError, Oracle, RngStream
-from .directions import gaussian_directions, orthonormal_directions
-from .estimators import gsg, interpolation_gradient
+from .directions import orthonormal_directions
+from .estimators import gsg_from_values, interpolation_gradient
 
 
 class InfeasibleConstantsError(DFOError):
@@ -282,6 +282,8 @@ def gsg_sample_size(grad_norm: float, L_f: float, n: int, delta: float, r: float
     value = 2.0 * n * grad_norm**2 / dr2 + (
         Lf2 * n * (n + 2) * (n + 4) + 8.0 * n * (n + 2) * Lf2 + 16.0 * n * Lf2
     ) / (4.0 * dr2)
+    if not math.isfinite(value):
+        raise ValueError(f"the sample size overflows at delta r^2 = {dr2:.3g}")
     return max(1, math.ceil(value))
 
 
@@ -321,33 +323,48 @@ def interpolation_error(oracle: Oracle, x, sigma: float, stream: RngStream) -> f
     return float(np.linalg.norm(est.g - oracle.grad_phi(x)))
 
 
-def _linear_gsg(a: np.ndarray, N: int, streams, sigma: float):
-    """gsg estimates of the gradient a of phi = a^T x at the origin, one per stream."""
-    oracle, x = Oracle(lambda X: X @ a, a.size, vectorized=True), np.zeros(a.size)
-    for stream in streams:
-        yield gsg(oracle, x, sigma, gaussian_directions(a.size, N, stream)).g
+#: Floats in one chunk of Monte Carlo directions (0.5 MB); a wider rep is drawn alone.
+_CHUNK_FLOATS = 2**16
+
+
+def _linear_gsg(a: np.ndarray, N: int, base: RngStream, reps: int, sigma: float):
+    """Yield (rows, estimates): ``reps`` gsg estimates of the gradient a of
+    phi = a^T x at 0, their (reps, N, n) directions drawn in order from
+    ``base`` in chunks of whole reps.  Each chunk makes two oracle calls, the
+    centers and the offsets, so each estimate still costs N+1 evaluations."""
+    n = a.size
+    oracle = Oracle(lambda X: X @ a, n, vectorized=True)
+    gen = base.generator()
+    per_chunk = max(1, _CHUNK_FLOATS // (N * n))
+    for start in range(0, reps, per_chunk):
+        m = min(per_chunk, reps - start)
+        U = gen.standard_normal((m, N, n))
+        f0 = oracle.evaluate_batch(np.zeros((m, n)))
+        F = oracle.evaluate_batch((sigma * U).reshape(m * N, n)).reshape(m, N)
+        yield slice(start, start + m), gsg_from_values(F, f0[:, None], sigma, U)
 
 
 def gsg_covariance_top(a, N: int, base: RngStream, reps: int, sigma: float = 0.01) -> float:
     """Top eigenvalue of the sample covariance of gsg on phi = a^T x at 0,
     the quantity :func:`gsg_variance_bound` caps (with g = L_f = ||a||).
 
-    Estimate r uses the N directions of ``base.child(r)``.
+    The reps x N directions are drawn in order from ``base``.
     """
     a = np.asarray(a, dtype=float)
     estimates = np.empty((reps, a.size))
-    for r, g in enumerate(_linear_gsg(a, N, map(base.child, range(reps)), sigma)):
-        estimates[r] = g
+    for rows, g in _linear_gsg(a, N, base, reps, sigma):
+        estimates[rows] = g
     cov = np.cov(estimates, rowvar=False).reshape(a.size, a.size)
     return float(np.linalg.eigvalsh(cov)[-1])
 
 
-def gsg_misses(a, N: int, r: float, streams, sigma: float = 0.01) -> int:
-    """How many gsg estimates of the gradient a of phi = a^T x at 0, one per
-    stream, miss it by more than r: the event :func:`gsg_sample_size` makes
-    rarer than delta."""
+def gsg_misses(a, N: int, r: float, base: RngStream, trials: int, sigma: float = 0.01) -> int:
+    """How many of ``trials`` gsg estimates of the gradient a of phi = a^T x
+    at 0, their directions drawn in order from ``base``, miss it by more
+    than r: the event :func:`gsg_sample_size` makes rarer than delta."""
     a = np.asarray(a, dtype=float)
-    return sum(float(np.linalg.norm(g - a)) > r for g in _linear_gsg(a, N, streams, sigma))
+    return sum(int(np.count_nonzero(np.linalg.norm(g - a, axis=1) > r))
+               for _, g in _linear_gsg(a, N, base, trials, sigma))
 
 
 @dataclass(frozen=True)

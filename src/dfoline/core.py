@@ -88,12 +88,13 @@ class NoiseModel:
             raise ValueError(f"noise bound must be finite and >= 0, got {self.bound}")
 
 
-def as_point(x, n: int) -> np.ndarray:
-    """Validate and return ``x`` as a finite float vector of length ``n``."""
+def as_point(x, n: int, *, finite: bool = True) -> np.ndarray:
+    """Validate and return ``x`` as a float vector of length ``n``, finite
+    unless ``finite`` is False (the oracle then rejects it as an evaluation)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"expected a point of dimension {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if finite and not np.all(np.isfinite(x)):
         raise ValueError("point contains non-finite entries")
     return x
 
@@ -156,7 +157,7 @@ class Oracle:
 
     def evaluate(self, x) -> float:
         """Return one noisy measurement f(x) and count it."""
-        x = as_point(x, self.dimension)
+        x = as_point(x, self.dimension, finite=False)
         return float(self.evaluate_batch(x[None, :])[0])
 
     def evaluate_batch(self, X) -> np.ndarray:
@@ -171,8 +172,8 @@ class Oracle:
                 f"expected an (m, {self.dimension}) batch of points, got shape {X.shape}"
             )
         if not np.all(np.isfinite(X)):
-            bad = np.argwhere(~np.isfinite(X).all(axis=1))[0, 0]
-            raise ValueError(f"batch row {bad} contains non-finite entries")
+            bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
+            raise EvaluationError(f"query point at batch row {bad} is not finite", X[bad])
         values = self._phi_values(X) + self._noise_values(X)
         self.eval_count += X.shape[0]
         if not np.all(np.isfinite(values)):

@@ -16,10 +16,6 @@ from .core import RngStream
 
 DIRECTION_KINDS = ("coordinate", "gaussian", "orthonormal")
 
-# Pivot considered degenerate when its post-projection norm falls below this;
-# the offending Gaussian row is redrawn (probability ~0, but defined).
-_PIVOT_TOL = 1.0e-8
-
 _ORTHO_TOL = 1.0e-10
 
 
@@ -82,31 +78,17 @@ def gaussian_directions(n: int, N: int, rng) -> DirectionSet:
 
 
 def orthonormal_directions(n: int, N: int, rng) -> DirectionSet:
-    """N <= n mutually orthonormal rows from an orthogonalized Gaussian draw.
-
-    Gram-Schmidt is applied twice per row (classical re-orthogonalization),
-    which keeps ||Q Q^T - I||_F below 1e-10 well past n = 10^3.  The result is
-    rotation-invariant because the input rows are i.i.d. Gaussian.
-    """
+    """N <= n Haar-distributed orthonormal rows: the columns of Q in the
+    Householder QR of an (n, N) Gaussian draw, each times the sign of its
+    diagonal entry of R (Mezzadri 2007; without it Q[0, 0] is always < 0)."""
     if n < 1 or N < 1:
         raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
     if N > n:
         raise ValueError(f"cannot build {N} orthonormal rows in dimension {n}")
     gen, seed, stream = _resolve_stream(rng)
-    Q = np.empty((N, n))
-    for i in range(N):
-        v = gen.standard_normal(n)
-        while True:
-            w = v
-            for _ in range(2):
-                w = w - Q[:i].T @ (Q[:i] @ w)
-            norm = np.linalg.norm(w)
-            if norm >= _PIVOT_TOL:
-                break
-            v = gen.standard_normal(n)  # degenerate pivot: redraw this row
-        Q[i] = w / norm
-    ds = DirectionSet(Q, "orthonormal", seed=seed, stream=stream)
+    q, r = np.linalg.qr(gen.standard_normal((n, N)))
+    Q = (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
     defect = np.linalg.norm(Q @ Q.T - np.eye(N))
     if defect > _ORTHO_TOL:
         raise RuntimeError(f"orthonormalization defect {defect:.3e} exceeds {_ORTHO_TOL:.0e}")
-    return ds
+    return DirectionSet(Q, "orthonormal", seed=seed, stream=stream)

@@ -70,7 +70,7 @@ class GradientEstimate:
 def _check_geometry(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> np.ndarray:
     if sigma <= 0 or not np.isfinite(sigma):
         raise ValueError(f"sampling radius must be positive and finite, got {sigma}")
-    x = as_point(x, oracle.dimension)
+    x = as_point(x, oracle.dimension, finite=False)
     if dirs.dimension != oracle.dimension:
         raise ValueError(
             f"direction dimension {dirs.dimension} != oracle dimension {oracle.dimension}"
@@ -88,11 +88,18 @@ def gsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate
     scaled-down version of the interpolation estimate, not the same object.
     """
     x = _check_geometry(oracle, x, sigma, dirs)
-    N = dirs.count
     f0 = oracle.evaluate(x)
     fvals = oracle.evaluate_batch(x[None, :] + sigma * dirs.Q)
-    g = ((fvals - f0) / sigma) @ dirs.Q / N
-    return GradientEstimate(g, float(sigma), dirs, N + 1, "GSG", f_center=f0)
+    g = gsg_from_values(fvals, f0, sigma, dirs.Q)
+    return GradientEstimate(g, float(sigma), dirs, dirs.count + 1, "GSG", f_center=f0)
+
+
+def gsg_from_values(F, f0, sigma: float, Q) -> np.ndarray:
+    """The gsg formula on values F (..., N) at x + sigma u_i, u_i the rows of
+    Q (..., N, n), and f0 = f(x) broadcast against F.  The stacked product
+    gives the same bits per estimate alone or in a batch (einsum does not)."""
+    w = (F - f0) / sigma
+    return (w[..., None, :] @ Q)[..., 0, :] / Q.shape[-2]
 
 
 def cgsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate:

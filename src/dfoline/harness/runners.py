@@ -315,6 +315,10 @@ def _check_variance_domination(cfg, root) -> dict:
                        "; ".join(details) or "runs only at dimensions <= 8")
 
 
+#: Most directions per trial the gsg_sample_size check draws (16 MB at n = 2).
+MAX_SAMPLE_SIZE = 1_000_000
+
+
 def _check_sample_size(cfg, root) -> dict:
     delta = cfg.get("delta", 0.1)
     r = cfg.get("theta", 0.25)  # theta ||grad phi||, as ||a|| = 1
@@ -322,9 +326,15 @@ def _check_sample_size(cfg, root) -> dict:
     n = min(cfg.get("dimensions", [2, 3, 5]))
     a = RngStream(record_seed(root, "size", n), 3).generator().standard_normal(n)
     a /= np.linalg.norm(a)
-    N = gsg_sample_size(1.0, 1.0, n, delta, r)
-    base = RngStream(record_seed(root, "size", n, N), 1)
-    violations = gsg_misses(a, N, r, (base.child(t) for t in range(trials)))
+    try:
+        N = gsg_sample_size(1.0, 1.0, n, delta, r)
+        if N > MAX_SAMPLE_SIZE:
+            raise ValueError(f"N = {N:,} directions per trial")
+    except ValueError as exc:
+        raise ConfigError(
+            f"gsg_sample_size at n={n}, delta {delta}, theta {r}: {exc}; "
+            f"the check draws at most MAX_SAMPLE_SIZE = {MAX_SAMPLE_SIZE:,}") from exc
+    violations = gsg_misses(a, N, r, RngStream(record_seed(root, "size", n, N), 1), trials)
     freq = violations / trials
     witness = None if freq <= delta else {"n": n, "N": N, "frequency": freq}
     return _worst_case(

@@ -299,10 +299,6 @@ class OptimizationTrace:
         return len(self.records) - 1
 
     @property
-    def x_final(self) -> np.ndarray:
-        return self.records[-1].x
-
-    @property
     def evals_total(self) -> int:
         return self.records[-1].evals if self.records else 0
 
@@ -369,21 +365,23 @@ def minimize(
     extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart
     k = 0
 
-    def terminal(status: str, *, f=math.nan, g_norm=math.nan, theta_k=math.nan,
-                 detail: str = ""):
-        phi, grad_norm, _ = _instrument(oracle, x, None)
+    def end(status: str, detail: str = "", measured=None) -> OptimizationTrace:
+        """Append the last record, with this iterate's (f, phi, ||grad phi||,
+        ||g||, theta) when they were measured, and close the trace."""
+        if measured is None:
+            phi, grad_norm, _ = _instrument(oracle, x, None)
+            measured = (math.nan, phi, grad_norm, math.nan, math.nan)
+        f, phi, grad_norm, g_norm, theta_k = measured
         trace.records.append(IterationRecord(
-            k, x.copy(), f, phi, grad_norm, g_norm, math.nan, theta_k,
-            oracle.eval_count, status,
+            k, x.copy(), f, phi, grad_norm, g_norm, math.nan, theta_k, oracle.eval_count, status,
         ))
-        trace.status = status
-        trace.detail = detail
+        trace.status, trace.detail = status, detail
+        return trace
 
     try:
         while True:
             if oracle.eval_count + est_cost + extra > budget:
-                terminal("budget_exhausted")
-                return trace
+                return end("budget_exhausted")
 
             sigma = estimator.sigma
             if estimator.adaptive:
@@ -391,35 +389,27 @@ def minimize(
                 try:
                     lo, hi = sigma_range(estimator.theta, grad_norm_here, n, estimator.constants)
                 except NoFeasibleSigmaError as exc:
-                    terminal("noise_floor", detail=str(exc))
-                    return trace
+                    return end("noise_floor", str(exc))
                 sigma = 0.5 * (lo + hi)
                 if sigma <= 0:
-                    terminal("noise_floor", detail="accuracy window collapsed to zero radius")
-                    return trace
+                    return end("noise_floor", "accuracy window collapsed to zero radius")
 
             est = estimate(estimator.kind, oracle, x, sigma, N, rng.child(k))
             f_k = est.f_center if est.f_center is not None else oracle.evaluate(x)
             g = est.g
             g_norm = float(np.linalg.norm(g))
             phi_k, grad_norm_k, theta_k = _instrument(oracle, x, g)
+            measured = (f_k, phi_k, grad_norm_k, g_norm, theta_k)
 
             if g_norm <= GRAD_NORM_TOL:
-                status = "converged"
                 resolution = float(np.spacing(abs(f_k))) / sigma
-                if resolution > GRAD_NORM_TOL:
-                    status = "failed"
-                    trace.detail = (
-                        f"sampling radius sigma={sigma:.3e} is lost to rounding at "
-                        f"||x||={np.linalg.norm(x):.3e}, f={f_k:.3e}: the estimate "
-                        f"vanished but cannot resolve a gradient below {resolution:.3e}"
-                    )
-                trace.records.append(IterationRecord(
-                    k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, math.nan, theta_k,
-                    oracle.eval_count, status,
-                ))
-                trace.status = status
-                return trace
+                if resolution <= GRAD_NORM_TOL:
+                    return end("converged", measured=measured)
+                return end("failed", (
+                    f"sampling radius sigma={sigma:.3e} is lost to rounding at "
+                    f"||x||={np.linalg.norm(x):.3e}, f={f_k:.3e}: the estimate "
+                    f"vanished but cannot resolve a gradient below {resolution:.3e}"
+                ), measured)
 
             if ls_state is not None:
                 allowance = budget - oracle.eval_count
@@ -430,13 +420,7 @@ def minimize(
                     )
                 except StallError as exc:
                     status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
-                    trace.records.append(IterationRecord(
-                        k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, math.nan, theta_k,
-                        oracle.eval_count, status,
-                    ))
-                    trace.status = status
-                    trace.detail = str(exc)
-                    return trace
+                    return end(status, str(exc), measured)
                 ls_state.alpha = min(ls_state.alpha_max, alpha / stepper.tau)
             elif adam_state is not None:
                 alpha = stepper.alpha
@@ -447,11 +431,8 @@ def minimize(
                 x_next = x - alpha * g
 
             trace.records.append(IterationRecord(
-                k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, alpha, theta_k,
-                oracle.eval_count, "ok",
-            ))
+                k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, alpha, theta_k, oracle.eval_count))
             x = x_next
             k += 1
     except DFOError as exc:
-        terminal("failed", detail=str(exc))
-        return trace
+        return end("failed", str(exc))

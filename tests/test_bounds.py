@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from dfoline import (
+    DirectionSet,
     InfeasibleConstantsError,
     LineSearchConstants,
     NoFeasibleSigmaError,
+    Oracle,
     ProblemConstants,
     RngStream,
     alpha_bar,
     convex_gap_bound,
     eta,
     gaussian_smoothing_constants,
+    gsg,
+    gsg_covariance_top,
+    gsg_misses,
     gsg_sample_size,
     gsg_variance_bound,
     interpolation_error_bound,
@@ -23,6 +28,7 @@ from dfoline import (
     sigma_range,
     strongly_convex_certificate,
 )
+from dfoline import bounds
 from dfoline.bounds import MOMENT_IDENTITIES
 
 
@@ -292,6 +298,10 @@ class TestSampleSize:
         sizes = [gsg_sample_size(1.0, 1.0, 3, 0.1, r) for r in (1.0, 0.5, 0.25)]
         assert sizes[0] < sizes[1] < sizes[2]
 
+    def test_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows"):
+            gsg_sample_size(1.0, 1.0, 2, 1e-300, 1e-10)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gsg_sample_size(1.0, 1.0, 1, 1.5, 1.0)
@@ -363,3 +373,55 @@ class TestMomentIdentities:
             moment_identity_check(3, 2, samples=10_000)
         with pytest.raises(ValueError, match="shape"):
             moment_identity_check(3, 2, a=np.ones(3), samples=10_000)
+
+
+def exact_moment_ratios(reps=100_000):
+    """gsg_covariance_top over its exact value 2 ||a||^2 / N, at criterion 5's
+    four settings: for phi = a^T x, Cov g = (||a||^2 I + a a^T) / N."""
+    ratios = []
+    for n in (2, 4):
+        a = np.full(n, 2.0 / math.sqrt(n))
+        for N in (1, 4):
+            top = gsg_covariance_top(a, N, RngStream(41, 1, (n, N)), reps)
+            ratios.append(top / (2.0 * float(a @ a) / N))
+    return ratios
+
+
+class TestGsgMeasurements:
+    def test_covariance_top_matches_exact_moment(self):
+        ratios = exact_moment_ratios()
+        assert max(abs(r - 1.0) for r in ratios) <= 0.1, ratios
+
+    @pytest.mark.parametrize("defect", [
+        pytest.param(lambda g, N: N * g, id="dropped_1_over_N"),
+        pytest.param(lambda g, N: 1.2 * g, id="scaled_20_percent"),
+    ])
+    def test_planted_defect_breaks_exact_moment(self, monkeypatch, defect):
+        """Both defects pass criterion 5's loose kappa; the exact moment catches them."""
+        correct = bounds.gsg_from_values
+        monkeypatch.setattr(bounds, "gsg_from_values", lambda F, f0, sigma, Q: defect(
+            correct(F, f0, sigma, Q), Q.shape[-2]))
+        assert max(abs(r - 1.0) for r in exact_moment_ratios()) > 0.1
+
+    @pytest.mark.parametrize("n, N", [(1, 1), (2, 4), (4, 1), (3, 7)])
+    def test_batched_gsg_equals_per_call_bit_for_bit(self, monkeypatch, n, N):
+        """The chunked estimates equal one gsg call per rep on the same
+        directions, which are the stream's draws in order whatever the chunk."""
+        monkeypatch.setattr(bounds, "_CHUNK_FLOATS", 3 * N * n + 1)  # 3 reps a chunk
+        a, base, reps, sigma = np.linspace(-1.0, 2.0, n), RngStream(9, 1, (n, N)), 10, 0.01
+        batched = np.empty((reps, n))
+        for rows, g in bounds._linear_gsg(a, N, base, reps, sigma):
+            batched[rows] = g
+        U = base.generator().standard_normal((reps, N, n))
+        oracle = Oracle(lambda X: X @ a, n, vectorized=True)
+        per_call = [gsg(oracle, np.zeros(n), sigma, DirectionSet(U[r], "gaussian")).g
+                    for r in range(reps)]
+        np.testing.assert_array_equal(batched, per_call)
+
+    def test_misses_count_every_trial_once(self):
+        a = np.array([1.0, 0.0])
+        base = RngStream(3, 1)
+        assert gsg_misses(a, 5, 0.0, base, 37) == 37
+        assert gsg_misses(a, 5, math.inf, base, 37) == 0
+        some = gsg_misses(a, 5, 0.5, base, 37)
+        assert 0 < some < 37

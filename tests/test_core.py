@@ -122,9 +122,16 @@ class TestOracleValidation:
 
         o = Oracle(phi, 2)
         X = np.array([[0.0, 0.0], [np.inf, 0.0]])
-        with pytest.raises(ValueError, match="row 1"):
+        with pytest.raises(EvaluationError, match="row 1") as info:
             o.evaluate_batch(X)
+        np.testing.assert_array_equal(info.value.x, [np.inf, 0.0])
         assert not calls and o.eval_count == 0
+
+    def test_non_finite_point_is_an_evaluation_error(self):
+        o = Oracle(sphere, 2)
+        with pytest.raises(EvaluationError, match="not finite") as info:
+            o.evaluate([np.nan, 1.0])
+        assert np.isnan(info.value.x[0]) and o.eval_count == 0
 
     def test_non_finite_output_raises_with_point(self):
         def phi(x):

@@ -103,6 +103,14 @@ class TestOrthonormal:
             ds = orthonormal_directions(3, 2, RngStream(seed, 1))
             assert np.linalg.norm(ds.Q @ ds.Q.T - np.eye(2)) <= 1.0e-10
 
+    def test_haar_signs(self):
+        """Every entry of Q has mean 0 over seeds: without the sign fix of R's
+        diagonal, Householder QR makes Q[0, 0] negative in every draw."""
+        seeds = 2000
+        Qs = np.array([orthonormal_directions(3, 3, RngStream(seed, 1)).Q for seed in range(seeds)])
+        se = Qs.std(axis=0, ddof=1) / np.sqrt(seeds)
+        assert np.all(np.abs(Qs.mean(axis=0)) <= 5.0 * se), Qs.mean(axis=0) / se
+
     def test_rotation_invariance_of_span_distribution(self):
         """Mean outer product of single orthonormal rows is the isotropic I/n."""
         n, reps = 3, 20_000

@@ -4,13 +4,16 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
-from dfoline import NoiseModel, RngStream, get_function, interpolation_error
+from dfoline import EvaluationError, NoiseModel, RngStream, get_function, interpolation_error
+from dfoline.estimators import estimate
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
 from dfoline.harness.csvio import read_csv, record_seed, write_csv
 from dfoline.harness.runners import (
+    MAX_SAMPLE_SIZE,
     run_gradient_accuracy,
     run_optimization,
     run_verify_bounds,
@@ -426,6 +429,39 @@ class TestCli:
         for r in rows[3:]:
             assert r["seed"] and r["theta"] == "" and r["log10_theta"] == ""
 
+    def test_grad_accuracy_non_finite_query_point_is_failed_row(self, tmp_path, capsys):
+        """At sigma = 1.7e308 the probe points x + sigma u overflow to inf;
+        the oracle rejects them as an evaluation failure, which the trial
+        records as a failed row whose seed replays it."""
+        cfg = grad_cfg(functions=["quad_n10"], estimators=["gsg"], sigmas=[1.7e308], trials=2)
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows = read_csv(str(tmp_path / "o" / "records.csv"))
+        assert [r["status"] for r in rows] == ["failed", "failed"]
+        fn = get_function("quad_n10")
+        for r in rows:
+            seed = int(r["seed"])
+            x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
+            with pytest.raises(EvaluationError, match="not finite"), np.errstate(over="ignore"):
+                estimate("gsg", fn.oracle(NoiseModel()), x, 1.7e308, fn.n, RngStream(seed, 1))
+
+    @pytest.mark.parametrize("delta, theta, names", [
+        (1e-300, 1e-10, "overflows"),
+        (1e-6, 0.25, "N = 640,000,000"),
+    ])
+    def test_sample_size_beyond_limit_exit_two(self, tmp_path, capsys, delta, theta, names):
+        """A sample size that overflows, or one too large to draw, is rejected
+        before any draw, naming the limit."""
+        cfg = {"experiment": "verify_bounds", "checks": ["gsg_sample_size"],
+               "delta": delta, "theta": theta}
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and names in err and "Traceback" not in err
+        assert f"MAX_SAMPLE_SIZE = {MAX_SAMPLE_SIZE:,}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_grad_accuracy_failed_rows_counted_in_summary(self, tmp_path, capsys):
         """A group whose trials all failed is not a group that ran none."""
         cfg = grad_cfg(functions=["quad_n10"], estimators=["liod"],
@@ -463,6 +499,23 @@ class TestCli:
         assert good[-1]["status"] != "failed" and float(good[-1]["phi"]) < 1.0e-6
         assert [r["status"] for r in bad] == ["failed"]
         assert (tmp_path / "o" / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize("stepper", [
+        {"type": "fixed", "alpha": 1.7e308},
+        {"type": "line_search", "alpha0": 1.7e308, "alpha_max": 1.7e308},
+    ])
+    def test_optimize_iterate_overflow_is_failed_trace(self, tmp_path, capsys, stepper):
+        """A step that overflows the iterate to inf, while f is still finite,
+        ends the run failed at the oracle, not with a traceback."""
+        cfg = opt_cfg(methods=[{"name": "m", "estimator": {"kind": "gsg", "sigma": 1.0e-2},
+                                "stepper": stepper}], seeds=[0], budget=500)
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "quad_n10/m/s0: failed (query point at batch row 0 is not finite)" in captured.out
+        _, rows = read_csv(str(tmp_path / "o" / "trace_quad_n10__m__s0.csv"))
+        assert rows[-1]["status"] == "failed"
 
     def test_optimize_prints_stop_reason(self, tmp_path, capsys):
         cfg = opt_cfg(functions=["rosenbrock_n4"], seeds=[0], budget=2000, methods=[

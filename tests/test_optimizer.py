@@ -264,7 +264,7 @@ class TestMinimize:
         assert a.status == b.status
         for col in ("f", "phi", "alpha", "evals", "g_norm"):
             np.testing.assert_array_equal(a.column(col), b.column(col))
-        np.testing.assert_array_equal(a.x_final, b.x_final)
+        np.testing.assert_array_equal(a.records[-1].x, b.records[-1].x)
 
     def test_int_seed_matches_stream(self):
         fn = quadratic(2, 1.0, 1.0)
@@ -329,7 +329,7 @@ class TestMinimize:
                          LineSearchConfig(), budget=50, rng=0)
         assert trace.status == "converged"
         assert trace.iterations == 0
-        np.testing.assert_array_equal(trace.x_final, [1.0, 2.0])
+        np.testing.assert_array_equal(trace.records[-1].x, [1.0, 2.0])
         assert trace.evals_total == 3  # two forward points plus the center
 
     def test_adaptive_requires_instrumentation(self):

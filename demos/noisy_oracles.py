@@ -51,7 +51,7 @@ def main():
         oracle = fn.oracle(NoiseModel("uniform", EPS_F))
         est = run(oracle)
         theta = relative_error(est.g, grad)
-        print(f"  {label:<20s} theta {theta:.3e}   evals {est.evals_used}")
+        print(f"  {label:<20s} theta {theta:.3e}   evals {oracle.eval_count}")
 
     print("\ninterpolation pays n+1 evaluations and tracks the gradient;")
     print("single-sigma smoothing at the same cost is Monte Carlo noisy.")

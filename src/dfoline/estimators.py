@@ -45,26 +45,15 @@ class UndefinedMetricError(DFOError):
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """A gradient approximation plus the bookkeeping needed to audit it.
-
-    ``evals_used`` is N+1 for the forward-difference family (N offset points
-    plus one shared center evaluation) and 2N for the symmetric estimator,
-    which never queries the center.  ``f_center`` carries the shared f(x)
-    measurement when one was made, else None.
-    """
+    """A gradient approximation g, finite or a :class:`DFOError`, and the
+    f(x) it measured (None unless its kind ``measures_center``)."""
 
     g: np.ndarray
-    sigma: float
-    directions: DirectionSet
-    evals_used: int
-    estimator_kind: str
-    f_center: float | None = None
+    f_center: float | None
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gradient estimate contains non-finite entries")
-        object.__setattr__(self, "g", g)
+        if not np.all(np.isfinite(self.g)):
+            raise DFOError("gradient estimate contains non-finite entries")
 
 
 def _check_geometry(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> np.ndarray:
@@ -91,7 +80,7 @@ def gsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate
     f0 = oracle.evaluate(x)
     fvals = oracle.evaluate_batch(x[None, :] + sigma * dirs.Q)
     g = gsg_from_values(fvals, f0, sigma, dirs.Q)
-    return GradientEstimate(g, float(sigma), dirs, dirs.count + 1, "GSG", f_center=f0)
+    return GradientEstimate(g, f0)
 
 
 def gsg_from_values(F, f0, sigma: float, Q) -> np.ndarray:
@@ -116,10 +105,7 @@ def cgsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimat
     offsets = sigma * dirs.Q
     fvals = oracle.evaluate_batch(np.vstack([x + offsets, x - offsets]))
     g = ((fvals[:N] - fvals[N:]) / sigma) @ dirs.Q / (2.0 * N)
-    return GradientEstimate(g, float(sigma), dirs, 2 * N, "cGSG", f_center=None)
-
-
-_INTERP_KIND = {"coordinate": "FD", "orthonormal": "LIOD", "gaussian": "LIGD"}
+    return GradientEstimate(g, None)
 
 
 def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate:
@@ -157,9 +143,7 @@ def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) 
         g = np.linalg.solve(dirs.Q, F / sigma)
     else:
         g = (F / sigma) @ dirs.Q
-    return GradientEstimate(
-        g, float(sigma), dirs, n + 1, _INTERP_KIND[dirs.kind], f_center=f0
-    )
+    return GradientEstimate(g, f0)
 
 
 def relative_error(g, grad_true) -> float:

@@ -8,8 +8,8 @@
 Every run is sequential, in the calling thread.  ``--jobs K`` is still
 accepted by the three experiment subcommands and changes nothing.
 
-Exit codes: 0 success, 2 configuration error, 3 bound violation reported by
-verify-bounds.
+Exit codes: 0 success, 2 configuration error, 3 a verify-bounds check that
+failed (a bound violation, no trial, or a runtime failure).
 """
 
 from __future__ import annotations

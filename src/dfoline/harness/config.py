@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 
 import jsonschema
 
@@ -183,14 +184,27 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
+def _non_finite(token: str):
+    raise ValueError(f"number {token} is not finite")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _non_finite(token)
+    return value
+
+
 def load_config(path: str) -> dict:
-    """Read, parse, and validate a JSON experiment config."""
+    """Read, parse, and validate a JSON experiment config.  A number that is
+    not finite (NaN, Infinity, or one that overflows, such as 1e999) is
+    rejected here: the schema's bounds do not see it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_float, parse_constant=_non_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or a number not finite
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(cfg)
 

@@ -259,19 +259,29 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
 # verify-bounds checks
 
 
+def _json_safe(value):
+    """``value`` with every float that is not finite replaced by None."""
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _worst_case(check: str, cases, details: str) -> dict:
     """The report entry of one check from its (slack, witness or None) cases:
     the least slack is the margin, the first witness fails the check, and a
     check with no case fails with no margin.  ``{worst}`` in ``details`` is
-    filled with the margin."""
+    filled with the margin.  A margin or witness value that is not finite is
+    written as null, so the report stays valid JSON."""
     worst = min((slack for slack, _ in cases), default=math.inf)
     witness = next((w for _, w in cases if w is not None), None)
     details = details.format(worst=worst)
     if not cases:
         return {"check": check, "passed": False, "margin": None,
                 "details": f"0 trials: {details}", "witness": None}
-    return {"check": check, "passed": witness is None, "margin": worst,
-            "details": details, "witness": witness}
+    return _json_safe({"check": check, "passed": witness is None, "margin": worst,
+                       "details": details, "witness": witness})
 
 
 def _check_interpolation_bound(cfg, root) -> dict:
@@ -434,13 +444,19 @@ def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
 
     Each check measures its margin (how far inside the bound the worst trial
     landed); a hard-bound violation serializes the witness instance so it can
-    be replayed.
+    be replayed.  A check that raises a runtime failure (:class:`DFOError`)
+    fails with the error text in its details and no margin.
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
     root = cfg.get("seed", 0)
-    names = cfg.get("checks", list(_CHECKS))
-    results = [_CHECKS[name](cfg, root) for name in names]
+    results = []
+    for name in cfg.get("checks", list(_CHECKS)):
+        try:
+            results.append(_CHECKS[name](cfg, root))
+        except DFOError as exc:
+            results.append({"check": name, "passed": False, "margin": None,
+                            "details": f"runtime failure: {exc}", "witness": None})
     report = {
         "experiment_id": exp_id,
         "config_sha256": cfg_hash,

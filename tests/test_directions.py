@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from dfoline import DirectionSet, RngStream, coordinate_directions, gaussian_directions, orthonormal_directions
+from dfoline import (
+    DirectionSet,
+    EvaluationError,
+    Oracle,
+    RngStream,
+    cgsg,
+    coordinate_directions,
+    gaussian_directions,
+    orthonormal_directions,
+)
 
 
 class TestDirectionSetType:
@@ -16,10 +25,14 @@ class TestDirectionSetType:
             DirectionSet(np.ones(4), "gaussian")
 
     def test_rejects_non_finite(self):
+        """A NaN in a hand-built Q reaches the oracle as a query point, which
+        rejects it before counting any evaluation."""
         Q = np.ones((2, 2))
         Q[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            DirectionSet(Q, "gaussian")
+        o = Oracle(lambda x: float(np.sum(x)), 2)
+        with pytest.raises(EvaluationError, match="not finite"):
+            cgsg(o, np.zeros(2), 0.1, DirectionSet(Q, "gaussian"))
+        assert o.eval_count == 0
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -30,7 +43,7 @@ class TestCoordinate:
     def test_identity_matrix(self):
         ds = coordinate_directions(4)
         np.testing.assert_array_equal(ds.Q, np.eye(4))
-        assert ds.kind == "coordinate" and ds.seed == -1
+        assert ds.kind == "coordinate" and ds.stream is None
 
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
@@ -42,21 +55,14 @@ class TestGaussian:
         a = gaussian_directions(3, 5, RngStream(12, 1))
         b = gaussian_directions(3, 5, RngStream(12, 1))
         np.testing.assert_array_equal(a.Q, b.Q)
-        assert a.seed == 12 and a.kind == "gaussian"
-
-    def test_int_seed_accepted(self):
-        a = gaussian_directions(3, 2, 7)
-        b = gaussian_directions(3, 2, RngStream(7))
-        np.testing.assert_array_equal(a.Q, b.Q)
-
-    def test_generator_accepted_without_provenance(self):
-        gen = RngStream(3).generator()
-        ds = gaussian_directions(2, 2, gen)
-        assert ds.seed == -1 and ds.stream is None
+        assert a.stream == RngStream(12, 1) and a.kind == "gaussian"
 
     def test_bad_rng_type(self):
-        with pytest.raises(TypeError, match="rng"):
-            gaussian_directions(2, 2, "seed")
+        """The builders take an RngStream only: not a bare seed or a Generator."""
+        for build in (gaussian_directions, orthonormal_directions):
+            for rng in ("seed", 7, RngStream(3).generator()):
+                with pytest.raises(TypeError, match="RngStream"):
+                    build(2, 2, rng)
 
     def test_shape_validated(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Experiment harness: configs, CSV persistence, runners, and the CLI."""
 
 import json
+import math
 import os
 import warnings
 
@@ -155,6 +156,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(bad))
 
+    def test_load_config_rejects_non_finite_numbers(self, tmp_path):
+        """NaN, Infinity and a float that overflows are refused while parsing;
+        finite numbers parse to the floats json.load gives."""
+        path = tmp_path / "cfg.json"
+        for token in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"):
+            path.write_text(json.dumps(grad_cfg(sigmas=[0.1])).replace("0.1", token))
+            with pytest.raises(ConfigError, match=f"number {token} is not finite"):
+                load_config(str(path))
+        text = json.dumps(grad_cfg(sigmas=[0.1, 1e-310, 1.7e308, 5e-324, 3]))
+        path.write_text(text)
+        assert load_config(str(path)) == json.loads(text)
+
     def test_config_hash_key_order_invariant(self):
         a = {"b": 1, "a": [1, 2]}
         b = {"a": [1, 2], "b": 1}
@@ -279,6 +292,46 @@ class TestVerifyRunner:
         assert on_disk["all_pass"] is True
         assert on_disk["config_sha256"] == config_hash(cfg)
 
+    @pytest.mark.parametrize("sigma, error", [
+        (1.7e308, "objective returned a non-finite value"),
+        (1.0e-320, "gradient estimate contains non-finite entries"),
+    ], ids=["sigma_overflows", "sigma_subnormal"])
+    def test_runtime_failure_is_a_fail_verdict(self, tmp_path, capsys, sigma, error):
+        """A DFOError inside a check is that check's FAIL, with no margin, and
+        the checks after it still run."""
+        cfg = {"experiment": "verify_bounds", "sigmas": [sigma], "trials": 4,
+               "checks": ["interpolation_error_bound", "noise_bound"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        out = capsys.readouterr().out
+        assert f"FAIL interpolation_error_bound: runtime failure: {error}" in out
+        report = json.loads((tmp_path / "o" / "report.json").read_text(),
+                            parse_constant=lambda name: pytest.fail(name))
+        failed, after = report["checks"]
+        assert (failed["passed"], failed["margin"], failed["witness"]) == (False, None, None)
+        assert after["check"] == "noise_bound" and after["passed"] is True
+
+    @pytest.mark.parametrize("cfg, printed", [
+        ({"checks": ["armijo_decrease_guarantee"],
+          "noise": {"kind": "uniform", "bound": 1.0e308}}, "worst decrease slack inf"),
+        ({"checks": ["interpolation_error_bound"], "sigmas": [1.0e-300]},
+         "worst relative slack -inf"),
+    ], ids=["armijo_noise_1e308", "interpolation_sigma_1e-300"])
+    def test_non_finite_values_written_as_null(self, tmp_path, capsys, cfg, printed):
+        """At noise bound 1e308 the decrease guarantee f - eta ||g||^2 + 4 eps_f
+        is +inf; at sigma 1e-300 the measured error's norm overflows to inf.
+        The margin, and a witness value, that is not finite is written as null,
+        so report.json stays valid JSON."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "verify_bounds", "trials": 4, **cfg}))
+        code = main(["verify-bounds", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code in (0, 3)
+        assert printed in capsys.readouterr().out
+        report = json.loads((tmp_path / "o" / "report.json").read_text(),
+                            parse_constant=lambda name: pytest.fail(name))
+        assert report["checks"][0]["margin"] is None
+
     def test_check_with_zero_trials_fails(self, tmp_path):
         """Variance domination runs only at n <= 8; with none it must not PASS."""
         cfg = {"experiment": "verify_bounds", "checks": ["gsg_variance_domination"],
@@ -352,6 +405,28 @@ class TestCli:
         assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and names_field in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("grad-accuracy", grad_cfg(sigmas=[math.nan])),
+        ("grad-accuracy", grad_cfg(sigmas=[math.inf])),
+        ("optimize", opt_cfg(methods=[{"name": "m",
+                                       "estimator": {"kind": "gsg", "sigma": math.nan},
+                                       "stepper": {"type": "fixed"}}])),
+        ("optimize", opt_cfg(x0=[math.nan] + [0.0] * 9)),
+        ("verify-bounds", {"experiment": "verify_bounds", "checks": ["noise_bound"],
+                           "noise": {"kind": "uniform", "bound": math.nan}}),
+        ("verify-bounds", {"experiment": "verify_bounds", "checks": ["interpolation_error_bound"],
+                           "sigmas": [math.inf]}),
+    ], ids=["grad_sigma_nan", "grad_sigma_infinity", "optimize_sigma_nan", "optimize_x0_nan",
+            "verify_noise_bound_nan", "verify_sigma_infinity"])
+    def test_non_finite_config_number_exit_two(self, tmp_path, capsys, command, cfg):
+        """json.dumps writes NaN and Infinity tokens, which json.load accepts
+        and the schema's bounds let through; the config loader refuses them."""
+        path = self.write_cfg(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "is not finite" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_x0_of_wrong_dimension_exit_two(self, tmp_path, capsys):
@@ -462,6 +537,17 @@ class TestCli:
         assert f"MAX_SAMPLE_SIZE = {MAX_SAMPLE_SIZE:,}" in err
         assert not (tmp_path / "o").exists()
 
+    def test_grad_accuracy_non_finite_estimate_is_failed_row(self, tmp_path, capsys):
+        """At sigma = 1e-310 every value is finite but the noise difference
+        over sigma overflows; the non-finite estimate is a failed row."""
+        cfg = grad_cfg(functions=["quad_n10"], estimators=["gsg", "liod", "cgsg"],
+                       sigmas=[1.0e-310], trials=2, noise={"kind": "uniform", "bound": 0.1})
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows = read_csv(str(tmp_path / "o" / "records.csv"))
+        assert [r["status"] for r in rows] == ["failed"] * 6
+
     def test_grad_accuracy_failed_rows_counted_in_summary(self, tmp_path, capsys):
         """A group whose trials all failed is not a group that ran none."""
         cfg = grad_cfg(functions=["quad_n10"], estimators=["liod"],
@@ -499,6 +585,19 @@ class TestCli:
         assert good[-1]["status"] != "failed" and float(good[-1]["phi"]) < 1.0e-6
         assert [r["status"] for r in bad] == ["failed"]
         assert (tmp_path / "o" / "aggregate.csv").exists()
+
+    def test_optimize_non_finite_estimate_is_failed_trace(self, tmp_path, capsys):
+        cfg = opt_cfg(methods=[{"name": "m", "estimator": {"kind": "gsg", "sigma": 1.0e-310},
+                                "stepper": {"type": "fixed"}}],
+                      seeds=[0], budget=200, noise={"kind": "uniform", "bound": 0.1})
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert ("quad_n10/m/s0: failed (gradient estimate contains non-finite entries)"
+                in captured.out)
+        _, rows = read_csv(str(tmp_path / "o" / "trace_quad_n10__m__s0.csv"))
+        assert rows[-1]["status"] == "failed"
 
     @pytest.mark.parametrize("stepper", [
         {"type": "fixed", "alpha": 1.7e308},

@@ -50,14 +50,11 @@ from .bounds import (
 )
 from .optimizer import (
     AdamConfig,
-    AdamState,
     EstimatorConfig,
     FixedStepConfig,
     LineSearchConfig,
-    LineSearchState,
     OptimizationTrace,
     StallError,
-    adam_step,
     armijo_holds,
     backtracking_step,
     minimize,
@@ -75,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamConfig",
-    "AdamState",
     "ConditioningError",
     "DFOError",
     "DirectionSet",
@@ -86,7 +82,6 @@ __all__ = [
     "InfeasibleConstantsError",
     "LineSearchConfig",
     "LineSearchConstants",
-    "LineSearchState",
     "NoFeasibleSigmaError",
     "NoiseModel",
     "OptimizationTrace",
@@ -96,7 +91,6 @@ __all__ = [
     "StallError",
     "TestFunction",
     "UndefinedMetricError",
-    "adam_step",
     "alpha_bar",
     "armijo_holds",
     "backtracking_step",

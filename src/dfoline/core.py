@@ -183,9 +183,6 @@ class Oracle:
             )
         return values
 
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
-
     def __repr__(self):
         label = self.name or "phi"
         return (

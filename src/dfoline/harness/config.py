@@ -195,13 +195,24 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _finite_int(token: str) -> int:
+    value = int(token)
+    try:
+        float(value)
+    except OverflowError:
+        _non_finite(token)
+    return value
+
+
 def load_config(path: str) -> dict:
     """Read, parse, and validate a JSON experiment config.  A number that is
-    not finite (NaN, Infinity, or one that overflows, such as 1e999) is
-    rejected here: the schema's bounds do not see it."""
+    not finite (NaN, Infinity, or one that overflows a float, such as 1e999
+    or an integer of 400 digits) is rejected here: the schema's bounds do
+    not see it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_float=_finite_float, parse_constant=_non_finite)
+            cfg = json.load(fh, parse_float=_finite_float, parse_int=_finite_int,
+                            parse_constant=_non_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # json.JSONDecodeError, or a number not finite

@@ -31,13 +31,7 @@ from ..bounds import (
 )
 from ..core import DFOError, NoiseModel, RngStream
 from ..estimators import ESTIMATORS, UndefinedMetricError, estimate, relative_error
-from ..optimizer import (
-    STEPPERS,
-    EstimatorConfig,
-    LineSearchState,
-    backtracking_step,
-    minimize,
-)
+from ..optimizer import STEPPERS, EstimatorConfig, backtracking_step, minimize
 from ..testfns import get_function
 from .config import ConfigError, config_hash
 from .csvio import (
@@ -48,15 +42,6 @@ from .csvio import (
     record_seed,
     write_csv,
 )
-
-
-def _noise_model(noise_cfg: dict | None, seed: int) -> NoiseModel:
-    if noise_cfg is None:
-        return NoiseModel()
-    kwargs = {"kind": noise_cfg["kind"], "bound": noise_cfg.get("bound", 0.0), "seed": seed}
-    if "omega" in noise_cfg:
-        kwargs["omega"] = noise_cfg["omega"]
-    return NoiseModel(**kwargs)
 
 
 def _functions(names) -> dict:
@@ -97,7 +82,7 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
         N = nf * fn.n
         for trial in range(cfg["trials"]):
             seed = record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
-            oracle = fn.oracle(_noise_model(noise_cfg, seed))
+            oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=seed))
             if eval_point == "origin":
                 x = np.zeros(fn.n)
             else:
@@ -226,7 +211,7 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
         traces = []
         for seed in seeds:
             run_seed = record_seed(root, exp_id, fname, mname, seed)
-            oracle = fn.oracle(_noise_model(noise_cfg, run_seed))
+            oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=run_seed))
             x0 = _resolve_x0(x0_spec, fn.n, RngStream(run_seed, 2))
             trace = minimize(oracle, x0, est_cfg, stepper, budget, RngStream(run_seed, 1))
             path = os.path.join(out_dir, f"trace_{fname}__{mname}__s{seed}.csv")
@@ -297,7 +282,7 @@ def _check_interpolation_bound(cfg, root) -> dict:
             sigma, fn.n, dataclasses.replace(fn.constants, eps_f=declared))
         for t in range(per):
             seed = record_seed(root, "interp", fname, repr(sigma), t)
-            oracle = fn.oracle(_noise_model(noise_cfg, seed))
+            oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=seed))
             x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
             err = interpolation_error(oracle, x, sigma, RngStream(seed, 1))
             witness = {"function": fname, "sigma": sigma, "seed": seed,
@@ -391,7 +376,7 @@ def _check_armijo_guarantee(cfg, root) -> dict:
         e = gen.standard_normal(fn.n)
         e *= theta * grad_norm * gen.random() / np.linalg.norm(e)
         g = grad + e
-        oracle = fn.oracle(_noise_model(noise_cfg, seed))
+        oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=seed))
         # any step at or below alpha_bar must pass the relaxed test
         alpha = abar * gen.random()
         f_curr = oracle.evaluate(x)
@@ -400,7 +385,7 @@ def _check_armijo_guarantee(cfg, root) -> dict:
         witness = {"trial": t, "alpha": alpha, "lhs": lhs, "rhs": rhs} if lhs > rhs else None
         # a full backtracking pass certifies at least the eta-rate decrease
         x_next, _ = backtracking_step(
-            oracle, x, g, LineSearchState(alpha=1.0), c.c1, c.tau, eps_f, f_curr=f_curr
+            oracle, x, g, 1.0, c.c1, c.tau, eps_f, f_curr=f_curr
         )
         decrease_bound = fn.value(x) - eta_val * grad_norm**2 + 4.0 * eps_f
         slack = float(decrease_bound - fn.value(x_next))
@@ -418,7 +403,7 @@ def _check_noise_bound(cfg, root) -> dict:
     trials = cfg.get("trials", 1000)
     fn = get_function("sin_n10")
     seed = record_seed(root, "noise")
-    oracle = fn.oracle(_noise_model(noise_cfg, seed))
+    oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=seed))
     X = RngStream(seed, 2).generator().uniform(-2.0, 2.0, (trials, fn.n))
     eps = np.abs(oracle.evaluate_batch(X) - fn.value(X))
     worst = float(np.max(eps))

@@ -6,16 +6,17 @@ condition
     f(x - alpha g) <= f(x) - c1 alpha ||g||^2 + 2 eps_f,
 
 which tolerates bounded noise by construction.  Fixed-step and Adam steppers
-are provided for comparison runs.  Every run produces a full
-:class:`OptimizationTrace` whose records carry the instrumented quantities
-(phi, true gradient norm, per-iteration estimate error) when the oracle
-exposes them.
+are provided for comparison runs.  Each stepper config's ``start(n)`` returns
+the step function of one run, which holds that rule's state.  Every run
+produces a full :class:`OptimizationTrace` whose records carry the
+instrumented quantities (phi, true gradient norm, per-iteration estimate
+error) when the oracle exposes them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,54 +46,6 @@ class StallError(DFOError):
         self.trials = trials
 
 
-@dataclass
-class LineSearchState:
-    """Mutable per-run line-search state (current step size and counters)."""
-
-    alpha: float = 1.0
-    backtracks_this_iter: int = 0
-    alpha_min: float = 1.0e-12
-    alpha_max: float = 1.0e3
-
-    def __post_init__(self):
-        if not 0 < self.alpha_min <= self.alpha <= self.alpha_max:
-            raise ValueError(
-                f"need 0 < alpha_min <= alpha <= alpha_max, got "
-                f"{self.alpha_min}, {self.alpha}, {self.alpha_max}"
-            )
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Adam moment accumulators; advanced functionally by :func:`adam_step`."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1.0e-8
-
-    @classmethod
-    def fresh(cls, n: int, beta1: float = 0.9, beta2: float = 0.999,
-              eps_hat: float = 1.0e-8) -> "AdamState":
-        return cls(np.zeros(n), np.zeros(n), 0, beta1, beta2, eps_hat)
-
-
-def adam_step(state: AdamState, g, alpha: float) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update; returns (new state, step to add to x)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.m.shape:
-        raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    step = -alpha * m_hat / (np.sqrt(v_hat) + state.eps_hat)
-    return replace(state, m=m, v=v, t=t), step
-
-
 def armijo_holds(f_curr: float, f_trial: float, alpha: float, g_norm_sq: float,
                  c1: float, eps_f: float) -> bool:
     """Relaxed Armijo test: f_trial <= f_curr - c1 alpha ||g||^2 + 2 eps_f."""
@@ -107,20 +60,21 @@ def backtracking_step(
     oracle: Oracle,
     x,
     g,
-    state: LineSearchState,
+    alpha: float,
     c1: float,
     tau: float,
     eps_f: float,
     *,
+    alpha_min: float = 1.0e-12,
     f_curr: float | None = None,
     max_trials: int | None = None,
 ) -> tuple[np.ndarray, float]:
     """Shrink alpha by tau until the relaxed Armijo test passes.
 
-    Tries alpha = state.alpha, tau * state.alpha, ... and returns
-    (x - alpha g, alpha) for the first acceptance at or above
-    ``state.alpha_min``.  Every trial evaluation is counted by the oracle;
-    ``f_curr`` may be supplied when f(x) was already measured this iteration.
+    Tries alpha, tau * alpha, ... and returns (x - alpha g, alpha) for the
+    first acceptance at or above ``alpha_min``.  Every trial evaluation is
+    counted by the oracle; ``f_curr`` may be supplied when f(x) was already
+    measured this iteration.
     Raises :class:`StallError` (never a silent acceptance) when the floor is
     reached, which at positive noise means the iterate sits at the theory's
     noise floor.
@@ -134,10 +88,8 @@ def backtracking_step(
         raise ValueError("backtracking needs a nonzero step direction")
     if f_curr is None:
         f_curr = oracle.evaluate(x)
-    alpha = state.alpha
-    state.backtracks_this_iter = 0
     trials = 0
-    while alpha >= state.alpha_min:
+    while alpha >= alpha_min:
         if max_trials is not None and trials >= max_trials:
             raise StallError(
                 "evaluation allowance exhausted during backtracking",
@@ -148,12 +100,10 @@ def backtracking_step(
         f_trial = oracle.evaluate(x_trial)
         trials += 1
         if armijo_holds(f_curr, f_trial, alpha, g_norm_sq, c1, eps_f):
-            state.alpha = alpha
             return x_trial, alpha
         alpha *= tau
-        state.backtracks_this_iter += 1
     raise StallError(
-        f"no step above alpha_min={state.alpha_min:.1e} passed the Armijo test "
+        f"no step above alpha_min={alpha_min:.1e} passed the Armijo test "
         f"after {trials} trials; iterate is at the attainable noise floor",
         reason="alpha_min", x=x, g_norm=math.sqrt(g_norm_sq),
         f_curr=f_curr, last_alpha=alpha / tau if trials else alpha, trials=trials,
@@ -237,6 +187,22 @@ class LineSearchConfig:
                 f"{self.alpha_min}, alpha0={self.alpha0}, alpha_max={self.alpha_max}"
             )
 
+    def start(self, n: int):
+        """A run's step function: backtracking from alpha0, then from
+        min(alpha_max, accepted / tau) after each accepted step."""
+        alpha0 = self.alpha0
+
+        def step(oracle, x, g, f_x, allowance):
+            nonlocal alpha0
+            x_next, alpha = backtracking_step(
+                oracle, x, g, alpha0, self.c1, self.tau, self.eps_f,
+                alpha_min=self.alpha_min, f_curr=f_x, max_trials=allowance,
+            )
+            alpha0 = min(self.alpha_max, alpha / self.tau)
+            return x_next, alpha
+
+        return step
+
 
 @dataclass(frozen=True)
 class FixedStepConfig:
@@ -245,6 +211,10 @@ class FixedStepConfig:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"fixed step alpha must be positive, got {self.alpha}")
+
+    def start(self, n: int):
+        """A run's step function: x - alpha g, with no state."""
+        return lambda oracle, x, g, f_x, allowance: (x - self.alpha * g, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -261,6 +231,22 @@ class AdamConfig:
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+
+    def start(self, n: int):
+        """A run's step function: bias-corrected Adam, its moments m, v and
+        step count t starting from zero."""
+        m, v, t = np.zeros(n), np.zeros(n), 0
+
+        def step(oracle, x, g, f_x, allowance):
+            nonlocal m, v, t
+            t += 1
+            m = self.beta1 * m + (1.0 - self.beta1) * g
+            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            return x - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps_hat), self.alpha
+
+        return step
 
 
 #: Stepper configs by the ``type`` name an experiment config gives them.
@@ -301,9 +287,6 @@ class OptimizationTrace:
     @property
     def evals_total(self) -> int:
         return self.records[-1].evals if self.records else 0
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
 
 
 def _instrument(oracle: Oracle, x: np.ndarray, g: np.ndarray | None):
@@ -349,19 +332,12 @@ def minimize(
     if estimator.adaptive and oracle.grad_phi is None:
         raise ValueError("adaptive sigma needs an oracle with grad_phi instrumentation")
 
-    ls_state = None
-    adam_state = None
-    if isinstance(stepper, LineSearchConfig):
-        ls_state = LineSearchState(
-            alpha=stepper.alpha0, alpha_min=stepper.alpha_min, alpha_max=stepper.alpha_max,
-        )
-    elif isinstance(stepper, AdamConfig):
-        adam_state = AdamState.fresh(n, stepper.beta1, stepper.beta2, stepper.eps_hat)
-    elif not isinstance(stepper, FixedStepConfig):
+    if not isinstance(stepper, tuple(STEPPERS.values())):
         raise TypeError(f"unknown stepper config {type(stepper)!r}")
+    step = stepper.start(n)
 
     trace = OptimizationTrace()
-    extra = 1 if isinstance(stepper, (LineSearchConfig,)) else 0
+    extra = 1 if isinstance(stepper, LineSearchConfig) else 0
     extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart
     k = 0
 
@@ -411,24 +387,11 @@ def minimize(
                     f"vanished but cannot resolve a gradient below {resolution:.3e}"
                 ), measured)
 
-            if ls_state is not None:
-                allowance = budget - oracle.eval_count
-                try:
-                    x_next, alpha = backtracking_step(
-                        oracle, x, g, ls_state, stepper.c1, stepper.tau, stepper.eps_f,
-                        f_curr=f_k, max_trials=allowance,
-                    )
-                except StallError as exc:
-                    status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
-                    return end(status, str(exc), measured)
-                ls_state.alpha = min(ls_state.alpha_max, alpha / stepper.tau)
-            elif adam_state is not None:
-                alpha = stepper.alpha
-                adam_state, step = adam_step(adam_state, g, alpha)
-                x_next = x + step
-            else:
-                alpha = stepper.alpha
-                x_next = x - alpha * g
+            try:
+                x_next, alpha = step(oracle, x, g, f_k, budget - oracle.eval_count)
+            except StallError as exc:
+                status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
+                return end(status, str(exc), measured)
 
             trace.records.append(IterationRecord(
                 k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, alpha, theta_k, oracle.eval_count))

@@ -212,7 +212,7 @@ def test_criterion_07_linear_rate_certificate():
             rho, _ = strongly_convex_certificate(consts, ls_consts, 1, 1.0)
             floor = 4.0 * eps_f / (1.0 - rho)
             gap0 = trace.records[0].phi
-            phi = trace.column("phi")
+            phi = [r.phi for r in trace.records]
             excess = max(
                 phi[k] - (rho**k * gap0 + floor) for k in range(len(phi))
             )
@@ -243,7 +243,7 @@ def test_criterion_08_nonconvex_average_certificate():
                 budget=1500,
                 rng=RngStream(31),
             )
-            gnt = trace.column("grad_norm_true")
+            gnt = np.array([r.grad_norm_true for r in trace.records])
             phi0 = trace.records[0].phi
             for T in (10, 100):
                 if len(gnt) <= T:

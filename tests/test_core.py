@@ -77,7 +77,7 @@ class TestOracleAccounting:
         assert o.eval_count == 0
         o.evaluate([1.0, 2.0])
         assert o.eval_count == 1
-        o([0.0, 0.0])  # __call__ is the same surface
+        o.evaluate([0.0, 0.0])
         assert o.eval_count == 2
         o.evaluate([3.0, 4.0])
         assert o.eval_count == 3

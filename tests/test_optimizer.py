@@ -7,17 +7,14 @@ import pytest
 
 from dfoline import (
     AdamConfig,
-    AdamState,
     EstimatorConfig,
     FixedStepConfig,
     LineSearchConfig,
-    LineSearchState,
     NoiseModel,
     Oracle,
     ProblemConstants,
     RngStream,
     StallError,
-    adam_step,
     armijo_holds,
     backtracking_step,
     eta,
@@ -59,33 +56,33 @@ class TestBacktracking:
         """From alpha=4 with tau=1/2 on x^2/2 at x=1: 4 and 2 fail, 1 lands
         on the minimizer and passes with c1=1/2."""
         oracle = half_square_oracle()
-        state = LineSearchState(alpha=4.0)
         x_next, alpha = backtracking_step(
-            oracle, [1.0], [1.0], state, c1=0.5, tau=0.5, eps_f=0.0, f_curr=0.5
+            oracle, [1.0], [1.0], 4.0, c1=0.5, tau=0.5, eps_f=0.0, f_curr=0.5
         )
         assert alpha == 1.0
         assert x_next == pytest.approx([0.0])
-        assert state.backtracks_this_iter == 2
-        assert state.alpha == 1.0
-        assert oracle.eval_count == 3
+        assert oracle.eval_count - 1 == 2  # backtracks: the trials before acceptance
 
     def test_first_trial_accepted(self):
         oracle = half_square_oracle()
-        state = LineSearchState(alpha=0.5)
         _, alpha = backtracking_step(
-            oracle, [1.0], [1.0], state, c1=0.5, tau=0.5, eps_f=0.0
+            oracle, [1.0], [1.0], 0.5, c1=0.5, tau=0.5, eps_f=0.0, f_curr=0.5
         )
         assert alpha == 0.5
-        assert state.backtracks_this_iter == 0
+        assert oracle.eval_count - 1 == 0  # backtracks: the trials before acceptance
+
+    def test_f_curr_measured_when_not_given(self):
+        oracle = half_square_oracle()
+        _, alpha = backtracking_step(oracle, [1.0], [1.0], 0.5, c1=0.5, tau=0.5, eps_f=0.0)
+        assert alpha == 0.5
         assert oracle.eval_count == 2  # f_curr measured here, then one trial
 
     def test_larger_gradient_accepts_smaller_step(self):
         accepted = {}
         for g in (1.0, 2.0):
             oracle = half_square_oracle()
-            state = LineSearchState(alpha=4.0)
             _, accepted[g] = backtracking_step(
-                oracle, [1.0], [g], state, c1=0.1, tau=0.5, eps_f=0.0, f_curr=0.5
+                oracle, [1.0], [g], 4.0, c1=0.1, tau=0.5, eps_f=0.0, f_curr=0.5
             )
         assert accepted[1.0] == 1.0
         assert accepted[2.0] == 0.5
@@ -94,10 +91,10 @@ class TestBacktracking:
         """At the minimizer every direction is uphill, so the search walks
         alpha down to the floor and raises with full diagnostics."""
         oracle = half_square_oracle()
-        state = LineSearchState(alpha=1.0, alpha_min=1.0e-12)
         with pytest.raises(StallError) as info:
             backtracking_step(
-                oracle, [0.0], [1.0], state, c1=0.5, tau=0.3, eps_f=0.0, f_curr=0.0
+                oracle, [0.0], [1.0], 1.0, c1=0.5, tau=0.3, eps_f=0.0,
+                alpha_min=1.0e-12, f_curr=0.0,
             )
         err = info.value
         assert err.reason == "alpha_min"
@@ -109,10 +106,9 @@ class TestBacktracking:
 
     def test_stall_on_trial_allowance(self):
         oracle = half_square_oracle()
-        state = LineSearchState(alpha=1.0)
         with pytest.raises(StallError) as info:
             backtracking_step(
-                oracle, [0.0], [1.0], state, c1=0.5, tau=0.5, eps_f=0.0,
+                oracle, [0.0], [1.0], 1.0, c1=0.5, tau=0.5, eps_f=0.0,
                 f_curr=0.0, max_trials=3,
             )
         assert info.value.reason == "budget"
@@ -121,37 +117,33 @@ class TestBacktracking:
 
     def test_validation(self):
         oracle = half_square_oracle()
-        state = LineSearchState()
         with pytest.raises(ValueError, match="tau"):
-            backtracking_step(oracle, [1.0], [1.0], state, 0.5, 1.5, 0.0)
+            backtracking_step(oracle, [1.0], [1.0], 1.0, 0.5, 1.5, 0.0)
         with pytest.raises(ValueError, match="nonzero"):
-            backtracking_step(oracle, [1.0], [0.0], state, 0.5, 0.5, 0.0)
+            backtracking_step(oracle, [1.0], [0.0], 1.0, 0.5, 0.5, 0.0)
 
 
 class TestAdam:
+    """Each step function starts at x = 0, so x_next is the step itself."""
+
     def test_first_step_is_sign_step(self):
         """Bias correction makes m_hat = g and v_hat = g^2 at t=1, so the
-        first step is -alpha g / (|g| + eps_hat)."""
-        state = AdamState.fresh(1)
-        state, step = adam_step(state, [1.0], 0.01)
-        assert step[0] == pytest.approx(-0.01 / (1.0 + 1.0e-8), rel=1e-15)
-        assert state.t == 1
+        first step is -alpha g / (|g| + eps_hat); every start begins at t=1."""
+        for step in AdamConfig(alpha=0.01).start(1), AdamConfig(alpha=0.01).start(1):
+            x_next, alpha = step(None, np.zeros(1), np.array([1.0]), None, None)
+            assert x_next[0] == pytest.approx(-0.01 / (1.0 + 1.0e-8), rel=1e-15)
+            assert alpha == 0.01
 
     def test_zero_gradient_zero_step(self):
-        state = AdamState.fresh(3)
-        _, step = adam_step(state, np.zeros(3), 0.5)
-        np.testing.assert_array_equal(step, np.zeros(3))
+        step = AdamConfig(alpha=0.5).start(3)
+        x_next, _ = step(None, np.zeros(3), np.zeros(3), None, None)
+        np.testing.assert_array_equal(x_next, np.zeros(3))
 
     def test_constant_gradient_step_magnitude(self):
-        state = AdamState.fresh(1)
+        step = AdamConfig(alpha=0.1).start(1)
         for _ in range(500):
-            state, step = adam_step(state, [2.0], 0.1)
-        assert abs(step[0]) == pytest.approx(0.1, rel=1e-7)
-        assert state.t == 500
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            adam_step(AdamState.fresh(2), np.ones(3), 0.1)
+            x_next, _ = step(None, np.zeros(1), np.array([2.0]), None, None)
+        assert abs(x_next[0]) == pytest.approx(0.1, rel=1e-7)
 
 
 class TestConfigs:
@@ -182,9 +174,9 @@ class TestConfigs:
             EstimatorConfig(kind="liod", adaptive=True)
         EstimatorConfig(kind="liod", adaptive=True, constants=consts)
 
-    def test_line_search_state_ordering_checked(self):
-        with pytest.raises(ValueError):
-            LineSearchState(alpha=1.0e-13, alpha_min=1.0e-12)
+    def test_line_search_ordering_checked(self):
+        with pytest.raises(ValueError, match="alpha_min <= alpha0"):
+            LineSearchConfig(alpha0=1.0e-13, alpha_min=1.0e-12)
 
     def test_fixed_step_positive(self):
         with pytest.raises(ValueError):
@@ -263,7 +255,8 @@ class TestMinimize:
         a, b = run(), run()
         assert a.status == b.status
         for col in ("f", "phi", "alpha", "evals", "g_norm"):
-            np.testing.assert_array_equal(a.column(col), b.column(col))
+            np.testing.assert_array_equal([getattr(r, col) for r in a.records],
+                                          [getattr(r, col) for r in b.records])
         np.testing.assert_array_equal(a.records[-1].x, b.records[-1].x)
 
     def test_int_seed_matches_stream(self):
@@ -272,7 +265,7 @@ class TestMinimize:
                      LineSearchConfig(), budget=80, rng=5)
         b = minimize(fn.oracle(), [1.0, 1.0], EstimatorConfig(kind="gsg"),
                      LineSearchConfig(), budget=80, rng=RngStream(5))
-        np.testing.assert_array_equal(a.column("f"), b.column("f"))
+        np.testing.assert_array_equal([r.f for r in a.records], [r.f for r in b.records])
 
     def test_trace_shape_and_accounting(self):
         fn = quadratic(4, 1.0, 3.0)
@@ -280,7 +273,7 @@ class TestMinimize:
                          LineSearchConfig(), budget=200, rng=1)
         assert len(trace.records) == trace.iterations + 1
         assert [r.k for r in trace.records] == list(range(len(trace.records)))
-        evals = trace.column("evals")
+        evals = [r.evals for r in trace.records]
         assert np.all(np.diff(evals) >= 0)
         assert evals[-1] <= 200
         assert trace.records[-1].status == trace.status
@@ -294,8 +287,8 @@ class TestMinimize:
         trace = minimize(fn.oracle(), np.ones(5) / math.sqrt(5.0), cfg,
                          LineSearchConfig(), budget=2000, rng=3)
         rate = eta(LineSearchConstants(c1=0.2, tau=0.3, theta=0.25), 1.0)
-        phi = trace.column("phi")
-        gnt = trace.column("grad_norm_true")
+        phi = [r.phi for r in trace.records]
+        gnt = [r.grad_norm_true for r in trace.records]
         for i in range(len(phi) - 1):
             assert phi[i + 1] <= phi[i] - rate * gnt[i] ** 2 + 1.0e-10
 
@@ -344,7 +337,7 @@ class TestMinimize:
         trace = minimize(fn.oracle(), np.ones(3),
                          EstimatorConfig(kind="liod", sigma=1e-5),
                          FixedStepConfig(alpha=0.05), budget=120, rng=0)
-        alphas = trace.column("alpha")
+        alphas = [r.alpha for r in trace.records]
         assert set(alphas[:-1]) == {0.05}
         assert math.isnan(alphas[-1])
         assert trace.records[-1].phi < trace.records[0].phi

@@ -10,9 +10,19 @@ import pathlib
 import sys
 
 import numpy as np
+import pytest
 
 import dfoline.estimators
-from dfoline import Oracle, RngStream
+import dfoline.optimizer
+from dfoline import (
+    EstimatorConfig,
+    FixedStepConfig,
+    LineSearchConfig,
+    NoiseModel,
+    Oracle,
+    RngStream,
+    quadratic,
+)
 from dfoline.estimators import estimate
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -37,3 +47,26 @@ def test_tracer_installs_counts_and_restores():
     assert totals["directions.gaussian_directions.calls"] == 1
     assert totals["core.Oracle.evaluate_batch.points"] == 3
     assert dfoline.estimators.gsg is gsg
+
+
+@pytest.mark.parametrize("stepper, noise, counts", [
+    (LineSearchConfig(eps_f=1.0e-4), NoiseModel("uniform", 1.0e-4, seed=5), (42, 42, 85)),
+    (FixedStepConfig(alpha=0.05), None, (60, 0, 0)),
+], ids=["line_search", "fixed"])
+def test_tracer_counts_minimize_and_backtracking(stepper, noise, counts):
+    """The line search's step function calls ``optimizer.backtracking_step``
+    by its module name, so the tracer counts every search and trial; a fixed
+    step makes none.  The counts are those of this run at a fixed seed."""
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        dfoline.optimizer.minimize(
+            quadratic(4, 1.0, 3.0).oracle(noise), np.ones(4),
+            EstimatorConfig(kind="gsg", sigma=1.0e-2, num_directions=4), stepper,
+            budget=300, rng=1,
+        )
+    totals = tracer.totals()
+    iterations, searches, trials = counts
+    assert totals["optimizer.minimize.calls"] == 1
+    assert totals["optimizer.minimize.iterations"] == iterations
+    assert totals["optimizer.backtracking_step.calls"] == searches
+    assert totals["optimizer.backtracking_step.trials"] == trials

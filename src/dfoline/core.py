@@ -85,7 +85,9 @@ class NoiseModel:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
         if not np.isfinite(self.bound) or self.bound < 0:
-            raise ValueError(f"noise bound must be finite and >= 0, got {self.bound}")
+            raise ValueError(f"bound must be finite and >= 0, got {self.bound}")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
 
 
 def as_point(x, n: int, *, finite: bool = True) -> np.ndarray:

@@ -1,12 +1,19 @@
 """Experiment configuration: JSON documents validated against strict schemas.
 
-Unknown keys are hard errors everywhere (additionalProperties: false): a
-typoed option must never silently fall back to a default.  The enums come
-from the code that implements them (noise kinds, the estimator table, the
-stepper classes, the verify-bounds checks), and the stepper classes check
-their own value ranges.  The sha256 of the effective config (after any CLI
-seed override) is stamped into every output file, so results are traceable
-to the exact configuration that produced them.
+Each config fact lives in one place.  The schema holds every key, its JSON
+type or enum, which keys are required, and each top-level default (its
+``"default"``, filled in by :func:`with_defaults`).  The estimator, stepper
+and noise sections are derived from the fields of their dataclasses
+(:class:`~dfoline.optimizer.EstimatorConfig`, the stepper classes,
+:class:`~dfoline.core.NoiseModel`), which alone check those sections' value
+ranges when a runner builds them, before the first task.  Top-level ranges
+(trials, sigmas, delta, ...) are in the schema.  The enums come from the
+code that implements them, and unknown keys are hard errors everywhere: a
+typoed option must never silently fall back to a default.
+
+The sha256 of the config as given (after any CLI seed override, before
+defaults) is stamped into every output file, so results are traceable to the
+exact configuration that produced them.
 """
 
 from __future__ import annotations
@@ -19,114 +26,48 @@ import math
 
 import jsonschema
 
-from ..core import NOISE_KINDS
+from ..core import NOISE_KINDS, NoiseModel
 from ..estimators import ESTIMATORS
-from ..optimizer import STEPPERS
+from ..optimizer import STEPPERS, EstimatorConfig
 
 
 class ConfigError(Exception):
     """Configuration rejected before any experiment work started."""
 
 
-_NOISE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": list(NOISE_KINDS)},
-        "bound": {"type": "number", "minimum": 0},
-        "omega": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["kind"],
-}
+def _object(properties: dict, required: list) -> dict:
+    """An object schema that admits no key but ``properties``."""
+    return {"type": "object", "additionalProperties": False,
+            "properties": properties, "required": required}
 
-_POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 
-_GRAD_ACCURACY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"const": "grad_accuracy"},
-        "experiment_id": {"type": "string", "minLength": 1},
-        "functions": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "estimators": {
-            "type": "array",
-            "items": {"enum": list(ESTIMATORS)},
-            "minItems": 1,
-        },
-        "sigmas": {"type": "array", "items": _POSITIVE_NUMBER, "minItems": 1},
-        "n_factors": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "trials": {"type": "integer", "minimum": 1},
-        "noise": _NOISE_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-        "eval_point": {"enum": ["random", "origin"]},
-    },
-    "required": ["experiment", "functions", "estimators", "sigmas", "trials"],
-}
+_JSON_TYPES = {"float": "number", "int": "integer", "bool": "boolean", "str": "string"}
 
-# Every field of every stepper class; the class checks the ranges and
-# rejects a key that belongs to another stepper type.
-_STEPPER_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "type": {"enum": list(STEPPERS)},
-        **{f.name: {"type": "number"}
-           for cls in STEPPERS.values() for f in dataclasses.fields(cls)},
-    },
-    "required": ["type"],
-}
 
-_METHOD_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "pattern": "^[A-Za-z0-9_-]+$"},
-        "estimator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(ESTIMATORS)},
-                "sigma": _POSITIVE_NUMBER,
-                "num_directions": {"type": "integer", "minimum": 1},
-                "adaptive": {"type": "boolean"},
-                "theta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
-            },
-            "required": ["kind"],
-        },
-        "stepper": _STEPPER_SCHEMA,
-    },
-    "required": ["name", "estimator", "stepper"],
-}
+def _section(classes, required, skip=(), **properties) -> dict:
+    """The schema of a section whose keys are the fields of ``classes``
+    (less ``skip``), typed by their annotations; ``properties`` adds keys or
+    replaces a key's type with an enum.  The classes check the ranges."""
+    fields = {f.name: {"type": _JSON_TYPES[f.type.split(" |")[0]]}
+              for cls in classes for f in dataclasses.fields(cls) if f.name not in skip}
+    return _object({**fields, **properties}, required)
 
-_OPTIMIZE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"const": "optimize"},
-        "experiment_id": {"type": "string", "minLength": 1},
-        "functions": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "methods": {"type": "array", "items": _METHOD_SCHEMA, "minItems": 1},
-        "seeds": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-        },
-        "budget": {"type": "integer", "minimum": 2},
-        "noise": _NOISE_SCHEMA,
-        "x0": {
-            "anyOf": [
-                {"enum": ["random", "origin", "ones"]},
-                {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            ]
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "required": ["experiment", "functions", "methods", "budget"],
+
+_NOISE = _section([NoiseModel], ["kind"], skip=("seed",), kind={"enum": list(NOISE_KINDS)})
+_NO_NOISE = {**_NOISE, "default": {"kind": "none"}}
+_COMMON = {
+    "experiment_id": {"type": "string", "minLength": 1},
+    "seed": {"type": "integer", "minimum": 0, "default": 0},
 }
+_FUNCTIONS = {"type": "array", "items": {"type": "string"}, "minItems": 1}
+_SIGMAS = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1}
+
+
+def _experiment(kind: str, required: list, **properties) -> dict:
+    """The schema of one experiment kind: ``properties`` plus the keys every
+    kind has."""
+    return _object({"experiment": {"const": kind}, **_COMMON, **properties},
+                   ["experiment", *required])
 
 
 @functools.cache
@@ -135,34 +76,54 @@ def _schemas() -> dict:
     names are the keys of ``runners._CHECKS``, and runners imports this module."""
     from .runners import _CHECKS
 
-    verify = {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "experiment": {"const": "verify_bounds"},
-            "experiment_id": {"type": "string", "minLength": 1},
-            "checks": {"type": "array", "items": {"enum": list(_CHECKS)}, "minItems": 1},
-            "trials": {"type": "integer", "minimum": 1},
-            "samples": {"type": "integer", "minimum": 10000},
-            "variance_reps": {"type": "integer", "minimum": 100},
-            "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "theta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
-            "dimensions": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 1},
-                "minItems": 1,
-            },
-            "sigmas": {"type": "array", "items": _POSITIVE_NUMBER, "minItems": 1},
-            "noise": _NOISE_SCHEMA,
-            "declared_eps_f": {"type": "number", "minimum": 0},
-            "seed": {"type": "integer", "minimum": 0},
-        },
-        "required": ["experiment"],
-    }
+    method = _object({
+        "name": {"type": "string", "pattern": "^[A-Za-z0-9_-]+$"},
+        "estimator": _section([EstimatorConfig], ["kind"], skip=("constants",),
+                              kind={"enum": list(ESTIMATORS)}),
+        # every stepper class's fields; a class rejects another's key
+        "stepper": _section(STEPPERS.values(), ["type"], type={"enum": list(STEPPERS)}),
+    }, ["name", "estimator", "stepper"])
     return {
-        "grad_accuracy": _GRAD_ACCURACY_SCHEMA,
-        "optimize": _OPTIMIZE_SCHEMA,
-        "verify_bounds": verify,
+        "grad_accuracy": _experiment(
+            "grad_accuracy", ["functions", "estimators", "sigmas", "trials"],
+            functions=_FUNCTIONS,
+            estimators={"type": "array", "items": {"enum": list(ESTIMATORS)}, "minItems": 1},
+            sigmas=_SIGMAS,
+            n_factors={"type": "array", "items": {"type": "integer", "minimum": 1},
+                       "minItems": 1, "default": [1]},
+            trials={"type": "integer", "minimum": 1},
+            noise=_NO_NOISE,
+            eval_point={"enum": ["random", "origin"], "default": "random"},
+        ),
+        "optimize": _experiment(
+            "optimize", ["functions", "methods", "budget"],
+            functions=_FUNCTIONS,
+            methods={"type": "array", "items": method, "minItems": 1},
+            seeds={"type": "array", "items": {"type": "integer", "minimum": 0},
+                   "minItems": 1, "default": [0, 1, 2]},
+            budget={"type": "integer"},
+            noise=_NO_NOISE,
+            x0={"anyOf": [{"enum": ["random", "origin", "ones"]},
+                          {"type": "array", "items": {"type": "number"}, "minItems": 1}],
+                "default": "random"},
+        ),
+        "verify_bounds": _experiment(
+            "verify_bounds", [],
+            checks={"type": "array", "items": {"enum": list(_CHECKS)}, "minItems": 1,
+                    "default": list(_CHECKS)},
+            trials={"type": "integer", "minimum": 1, "default": 1000},
+            samples={"type": "integer", "minimum": 10000, "default": 200_000},
+            variance_reps={"type": "integer", "minimum": 100, "default": 20000},
+            delta={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1,
+                   "default": 0.1},
+            theta={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5,
+                   "default": 0.25},
+            dimensions={"type": "array", "items": {"type": "integer", "minimum": 1},
+                        "minItems": 1, "default": [2, 3, 5]},
+            sigmas={**_SIGMAS, "default": [1.0e-2, 1.0e-4]},
+            noise={**_NOISE, "default": {"kind": "uniform", "bound": 1.0e-5}},
+            declared_eps_f={"type": "number", "minimum": 0},
+        ),
     }
 
 
@@ -184,8 +145,17 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
+def with_defaults(cfg: dict) -> dict:
+    """A copy of a valid config with each top-level key it leaves out set to
+    the schema's default."""
+    properties = _schemas()[cfg["experiment"]]["properties"]
+    return {**{key: p["default"] for key, p in properties.items() if "default" in p}, **cfg}
+
+
 def _non_finite(token: str):
-    raise ValueError(f"number {token} is not finite")
+    if len(token) > 24:
+        token = f"{token[:10]}...{token[-4:]} ({sum(c.isdigit() for c in token)} digits)"
+    raise ConfigError(f"number {token} is not finite")
 
 
 def _finite_float(token: str) -> float:
@@ -215,12 +185,15 @@ def load_config(path: str) -> dict:
                             parse_constant=_non_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # json.JSONDecodeError, or a number not finite
+    except ConfigError as exc:  # a number that is not finite
+        raise ConfigError(f"config {path}: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(cfg)
 
 
 def config_hash(cfg: dict) -> str:
-    """sha256 of the canonical JSON encoding of the effective config."""
+    """sha256 of the canonical JSON encoding of a config as given, defaults
+    not filled in."""
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

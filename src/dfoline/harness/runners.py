@@ -8,6 +8,7 @@ one after another in declared order, in the calling thread.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -33,7 +34,7 @@ from ..core import DFOError, NoiseModel, RngStream
 from ..estimators import ESTIMATORS, UndefinedMetricError, estimate, relative_error
 from ..optimizer import STEPPERS, EstimatorConfig, backtracking_step, minimize
 from ..testfns import get_function
-from .config import ConfigError, config_hash
+from .config import ConfigError, config_hash, with_defaults
 from .csvio import (
     ACCURACY_COLUMNS,
     AGGREGATE_COLUMNS,
@@ -42,6 +43,22 @@ from .csvio import (
     record_seed,
     write_csv,
 )
+
+
+@contextlib.contextmanager
+def _config_errors(where: str):
+    """Re-raise a ValueError or TypeError from building a config object as
+    a ConfigError that names ``where``."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _noise_model(cfg: dict) -> NoiseModel:
+    """The run's noise model at seed 0; each record replaces the seed."""
+    with _config_errors("noise"):
+        return NoiseModel(**cfg["noise"])
 
 
 def _functions(names) -> dict:
@@ -66,15 +83,14 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
+    cfg = with_defaults(cfg)
     fns = _functions(cfg["functions"])
-    noise_cfg = cfg.get("noise")
-    root = cfg.get("seed", 0)
-    eval_point = cfg.get("eval_point", "random")
-    n_factors = cfg.get("n_factors", [1])
+    noise = _noise_model(cfg)
+    root = cfg["seed"]
 
     rows = []
     for fname, est, sigma, nf in itertools.product(
-        cfg["functions"], cfg["estimators"], map(float, cfg["sigmas"]), n_factors
+        cfg["functions"], cfg["estimators"], map(float, cfg["sigmas"]), cfg["n_factors"]
     ):
         if ESTIMATORS[est].interpolates and nf != 1:
             continue
@@ -82,8 +98,8 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
         N = nf * fn.n
         for trial in range(cfg["trials"]):
             seed = record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
-            oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=seed))
-            if eval_point == "origin":
+            oracle = fn.oracle(dataclasses.replace(noise, seed=seed))
+            if cfg["eval_point"] == "origin":
                 x = np.zeros(fn.n)
             else:
                 x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
@@ -163,15 +179,13 @@ def _method_configs(method: dict, fn, noise_bound: float, budget: int):
     kind = stepper.pop("type")
     if kind == "line_search":
         stepper.setdefault("eps_f", noise_bound)
-    try:
+    with _config_errors(f"method {method['name']} on {fn.name}"):
         est_cfg = EstimatorConfig(
             **method["estimator"],
             constants=dataclasses.replace(fn.constants, eps_f=noise_bound),
         )
         est_cfg.check_budget(fn.n, budget)
         return est_cfg, STEPPERS[kind](**stepper)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"method {method['name']} on {fn.name}: {exc}") from exc
 
 
 def run_optimization(cfg: dict, out_dir: str) -> dict:
@@ -183,13 +197,11 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
+    cfg = with_defaults(cfg)
     fns = _functions(cfg["functions"])
-    noise_cfg = cfg.get("noise")
-    noise_bound = (noise_cfg or {}).get("bound", 0.0)
-    root = cfg.get("seed", 0)
-    seeds = cfg.get("seeds", [0, 1, 2])
+    noise = _noise_model(cfg)
     budget = cfg["budget"]
-    x0_spec = cfg.get("x0", "random")
+    x0_spec = cfg["x0"]
 
     names = [m["name"] for m in cfg["methods"]]
     if len(set(names)) != len(names):
@@ -199,7 +211,7 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
             if len(x0_spec) != fn.n:
                 raise ConfigError(f"x0 has dimension {len(x0_spec)}, {fname} needs {fn.n}")
     configs = {
-        (fname, method["name"]): _method_configs(method, fn, noise_bound, budget)
+        (fname, method["name"]): _method_configs(method, fn, noise.bound, budget)
         for fname, fn in fns.items()
         for method in cfg["methods"]
     }
@@ -209,9 +221,9 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
     for (fname, mname), (est_cfg, stepper) in configs.items():
         fn = fns[fname]
         traces = []
-        for seed in seeds:
-            run_seed = record_seed(root, exp_id, fname, mname, seed)
-            oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=run_seed))
+        for seed in cfg["seeds"]:
+            run_seed = record_seed(cfg["seed"], exp_id, fname, mname, seed)
+            oracle = fn.oracle(dataclasses.replace(noise, seed=run_seed))
             x0 = _resolve_x0(x0_spec, fn.n, RngStream(run_seed, 2))
             trace = minimize(oracle, x0, est_cfg, stepper, budget, RngStream(run_seed, 1))
             path = os.path.join(out_dir, f"trace_{fname}__{mname}__s{seed}.csv")
@@ -269,12 +281,10 @@ def _worst_case(check: str, cases, details: str) -> dict:
                        "details": details, "witness": witness})
 
 
-def _check_interpolation_bound(cfg, root) -> dict:
-    noise_cfg = cfg.get("noise", {"kind": "uniform", "bound": 1.0e-5})
-    declared = cfg.get("declared_eps_f", noise_cfg.get("bound", 0.0))
-    sigmas = cfg.get("sigmas", [1.0e-2, 1.0e-4])
-    combos = [(f, s) for f in ("sin_n10", "quad_n10") for s in sigmas]
-    per = max(1, cfg.get("trials", 1000) // len(combos))
+def _check_interpolation_bound(cfg, root, noise) -> dict:
+    declared = cfg["declared_eps_f"]
+    combos = [(f, s) for f in ("sin_n10", "quad_n10") for s in cfg["sigmas"]]
+    per = max(1, cfg["trials"] // len(combos))
     cases = []
     for fname, sigma in combos:
         fn = get_function(fname)
@@ -282,7 +292,7 @@ def _check_interpolation_bound(cfg, root) -> dict:
             sigma, fn.n, dataclasses.replace(fn.constants, eps_f=declared))
         for t in range(per):
             seed = record_seed(root, "interp", fname, repr(sigma), t)
-            oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=seed))
+            oracle = fn.oracle(dataclasses.replace(noise, seed=seed))
             x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
             err = interpolation_error(oracle, x, sigma, RngStream(seed, 1))
             witness = {"function": fname, "sigma": sigma, "seed": seed,
@@ -293,10 +303,10 @@ def _check_interpolation_bound(cfg, root) -> dict:
                        f"{len(cases)} trials; worst relative slack {{worst:.3e}}")
 
 
-def _check_variance_domination(cfg, root) -> dict:
-    reps = cfg.get("variance_reps", 20000)
+def _check_variance_domination(cfg, root, noise) -> dict:
+    reps = cfg["variance_reps"]
     cases, details = [], []
-    for n in [n for n in cfg.get("dimensions", [2, 3, 5]) if n <= 8]:
+    for n in [n for n in cfg["dimensions"] if n <= 8]:
         a = RngStream(record_seed(root, "var", n), 3).generator().standard_normal(n)
         a_norm = float(np.linalg.norm(a))
         for N in (1, 4):
@@ -314,11 +324,11 @@ def _check_variance_domination(cfg, root) -> dict:
 MAX_SAMPLE_SIZE = 1_000_000
 
 
-def _check_sample_size(cfg, root) -> dict:
-    delta = cfg.get("delta", 0.1)
-    r = cfg.get("theta", 0.25)  # theta ||grad phi||, as ||a|| = 1
-    trials = cfg.get("trials", 1000)
-    n = min(cfg.get("dimensions", [2, 3, 5]))
+def _check_sample_size(cfg, root, noise) -> dict:
+    delta = cfg["delta"]
+    r = cfg["theta"]  # theta ||grad phi||, as ||a|| = 1
+    trials = cfg["trials"]
+    n = min(cfg["dimensions"])
     a = RngStream(record_seed(root, "size", n), 3).generator().standard_normal(n)
     a /= np.linalg.norm(a)
     try:
@@ -337,10 +347,10 @@ def _check_sample_size(cfg, root) -> dict:
         f"n={n}, N={N}: {violations}/{trials} violations (freq {freq:.4f} vs delta {delta})")
 
 
-def _check_moment_identities(cfg, root) -> dict:
-    samples = cfg.get("samples", 200_000)
+def _check_moment_identities(cfg, root, noise) -> dict:
+    samples = cfg["samples"]
     cases = []
-    for n in cfg.get("dimensions", [2, 3, 5]):
+    for n in cfg["dimensions"]:
         a = RngStream(record_seed(root, "moments", n), 3).generator().standard_normal(n)
         for identity_id in MOMENT_IDENTITIES:
             res = moment_identity_check(
@@ -354,11 +364,10 @@ def _check_moment_identities(cfg, root) -> dict:
                        f"{len(cases)} identity checks at {samples} samples, 3 SE tolerance")
 
 
-def _check_armijo_guarantee(cfg, root) -> dict:
-    noise_cfg = cfg.get("noise", {"kind": "uniform", "bound": 1.0e-5})
-    eps_f = noise_cfg.get("bound", 0.0)
-    theta = cfg.get("theta", 0.25)
-    trials = min(cfg.get("trials", 1000), 200)
+def _check_armijo_guarantee(cfg, root, noise) -> dict:
+    eps_f = noise.bound
+    theta = cfg["theta"]
+    trials = min(cfg["trials"], 200)
     fn = get_function("quad_n5")
     c = LineSearchConstants(c1=0.2, tau=0.3, theta=theta)
     abar = alpha_bar(c, fn.constants.L)
@@ -376,7 +385,7 @@ def _check_armijo_guarantee(cfg, root) -> dict:
         e = gen.standard_normal(fn.n)
         e *= theta * grad_norm * gen.random() / np.linalg.norm(e)
         g = grad + e
-        oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=seed))
+        oracle = fn.oracle(dataclasses.replace(noise, seed=seed))
         # any step at or below alpha_bar must pass the relaxed test
         alpha = abar * gen.random()
         f_curr = oracle.evaluate(x)
@@ -397,13 +406,12 @@ def _check_armijo_guarantee(cfg, root) -> dict:
                        f"{trials} trials; worst decrease slack {{worst:.3e}}")
 
 
-def _check_noise_bound(cfg, root) -> dict:
-    noise_cfg = cfg.get("noise", {"kind": "uniform", "bound": 1.0e-5})
-    declared = cfg.get("declared_eps_f", noise_cfg.get("bound", 0.0))
-    trials = cfg.get("trials", 1000)
+def _check_noise_bound(cfg, root, noise) -> dict:
+    declared = cfg["declared_eps_f"]
+    trials = cfg["trials"]
     fn = get_function("sin_n10")
     seed = record_seed(root, "noise")
-    oracle = fn.oracle(NoiseModel(**(noise_cfg or {}), seed=seed))
+    oracle = fn.oracle(dataclasses.replace(noise, seed=seed))
     X = RngStream(seed, 2).generator().uniform(-2.0, 2.0, (trials, fn.n))
     eps = np.abs(oracle.evaluate_batch(X) - fn.value(X))
     worst = float(np.max(eps))
@@ -414,6 +422,8 @@ def _check_noise_bound(cfg, root) -> dict:
         f"max |f - phi| = {worst:.3e} over {trials} points vs declared {declared:.3e}")
 
 
+#: verify-bounds checks by name; each is called as check(cfg, root seed,
+#: noise model) with the config's defaults filled in.
 _CHECKS = {
     "interpolation_error_bound": _check_interpolation_bound,
     "gsg_variance_domination": _check_variance_domination,
@@ -434,11 +444,13 @@ def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
-    root = cfg.get("seed", 0)
+    cfg = with_defaults(cfg)
+    noise = _noise_model(cfg)
+    cfg.setdefault("declared_eps_f", noise.bound)
     results = []
-    for name in cfg.get("checks", list(_CHECKS)):
+    for name in cfg["checks"]:
         try:
-            results.append(_CHECKS[name](cfg, root))
+            results.append(_CHECKS[name](cfg, cfg["seed"], noise))
         except DFOError as exc:
             results.append({"check": name, "passed": False, "margin": None,
                             "details": f"runtime failure: {exc}", "witness": None})

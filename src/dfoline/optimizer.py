@@ -122,6 +122,8 @@ class EstimatorConfig:
     accuracy window [sigma_lo, sigma_hi] for the target ``theta``, using the
     instrumented true gradient norm; it needs ``constants`` (L, eps_f) and is
     only defined for the kinds whose window has ||Q^-1|| = 1 (liod, fd).
+    ``sigma`` must be finite and positive and ``theta`` in (0, 0.5) whether
+    or not the config is adaptive.
     """
 
     kind: str
@@ -134,21 +136,21 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ESTIMATORS:
             raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {list(ESTIMATORS)}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.num_directions is not None and self.num_directions < 1:
+            raise ValueError(f"num_directions must be >= 1, got {self.num_directions}")
+        if not 0 < self.theta < 0.5:
+            raise ValueError(f"theta must lie in (0, 0.5), got {self.theta}")
         if self.adaptive:
             if not ESTIMATORS[self.kind].adaptive:
                 adaptive = [k for k, spec in ESTIMATORS.items() if spec.adaptive]
                 raise ValueError(f"adaptive sigma is only defined for {adaptive}, not {self.kind}")
             if self.constants is None or self.constants.L is None:
                 raise ValueError("adaptive sigma needs ProblemConstants with L set")
-            if not 0 < self.theta < 0.5:
-                raise ValueError(f"adaptive sigma needs theta in (0, 0.5), got {self.theta}")
 
     def resolved_directions(self, n: int) -> int:
         N = self.num_directions if self.num_directions is not None else n
-        if N < 1:
-            raise ValueError(f"need at least one direction, got {N}")
         if ESTIMATORS[self.kind].interpolates and N != n:
             raise ValueError(f"num_directions: {self.kind} requires exactly n={n} directions, got {N}")
         return N

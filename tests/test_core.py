@@ -56,6 +56,11 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="bound"):
             NoiseModel(kind="uniform", bound=bad)
 
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_omega_rejected(self, bad):
+        with pytest.raises(ValueError, match="omega must be finite and > 0"):
+            NoiseModel(kind="sinusoidal", bound=1e-3, omega=bad)
+
 
 class TestAsPoint:
     def test_valid(self):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -19,6 +21,12 @@ from dfoline.harness.runners import (
     run_optimization,
     run_verify_bounds,
 )
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+#: The ```json blocks of README.md, each a documented config.
+README_CONFIGS = re.findall(r"```json\n(.*?)```", (REPO / "README.md").read_text(), re.S)
 
 
 def grad_cfg(**overrides):
@@ -162,11 +170,31 @@ class TestConfigValidation:
         path = tmp_path / "cfg.json"
         for token in ("NaN", "Infinity", "-Infinity", "1e999", "-1e999"):
             path.write_text(json.dumps(grad_cfg(sigmas=[0.1])).replace("0.1", token))
-            with pytest.raises(ConfigError, match=f"number {token} is not finite"):
+            with pytest.raises(ConfigError) as info:
                 load_config(str(path))
+            assert str(info.value) == f"config {path}: number {token} is not finite"
+        # valid JSON, so not called invalid; a long token is shortened
+        path.write_text(json.dumps(grad_cfg(sigmas=[10**400])))
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == \
+            f"config {path}: number 1000000000...0000 (401 digits) is not finite"
         text = json.dumps(grad_cfg(sigmas=[0.1, 1e-310, 1.7e308, 5e-324, 3]))
         path.write_text(text)
         assert load_config(str(path)) == json.loads(text)
+
+    @pytest.mark.parametrize("path", sorted(
+        str(p.relative_to(REPO)) for p in (REPO / "perfbench" / "configs").glob("*.json")))
+    def test_benchmark_configs_load(self, path):
+        """A schema change that breaks a benchmark config fails here, not in
+        the benchmark run."""
+        assert load_config(str(REPO / path))["experiment"]
+
+    @pytest.mark.parametrize("index", range(len(README_CONFIGS)))
+    def test_readme_configs_load(self, tmp_path, index):
+        path = tmp_path / "cfg.json"
+        path.write_text(README_CONFIGS[index])
+        assert load_config(str(path))["experiment"]
 
     def test_config_hash_key_order_invariant(self):
         a = {"b": 1, "a": [1, 2]}
@@ -438,6 +466,36 @@ class TestCli:
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "is not finite" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("grad-accuracy", grad_cfg(noise={"kind": "uniform", "bound": -1}), "bound"),
+        ("optimize", opt_cfg(noise={"kind": "uniform", "bound": -1}), "bound"),
+        ("verify-bounds", {"experiment": "verify_bounds",
+                           "checks": ["gaussian_moment_identities", "noise_bound"],
+                           "noise": {"kind": "uniform", "bound": -1}}, "bound"),
+        ("grad-accuracy", grad_cfg(noise={"kind": "sinusoidal", "bound": 1e-3, "omega": 0}),
+         "omega"),
+        ("grad-accuracy", grad_cfg(noise={"kind": "sinusoidal", "bound": 1e-3, "omega": -5}),
+         "omega"),
+        ("optimize", opt_cfg(methods=[{"name": "m", "estimator": {"kind": "gsg", "sigma": 0},
+                                       "stepper": {"type": "fixed"}}]), "sigma"),
+        ("optimize", opt_cfg(methods=[{"name": "m",
+                                       "estimator": {"kind": "gsg", "num_directions": 0},
+                                       "stepper": {"type": "fixed"}}]), "num_directions"),
+        ("optimize", opt_cfg(methods=[{"name": "m", "estimator": {"kind": "gsg", "theta": 0.5},
+                                       "stepper": {"type": "fixed"}}]), "theta"),
+        ("optimize", opt_cfg(budget=1), "budget"),
+    ], ids=["grad_bound", "optimize_bound", "verify_bound_two_checks", "omega_zero",
+            "omega_negative", "sigma_zero", "num_directions_zero", "gsg_theta_half",
+            "budget_one"])
+    def test_range_checked_by_dataclass_exit_two(self, tmp_path, capsys, command, cfg, field):
+        """Ranges of the noise, estimator and stepper sections live in their
+        dataclasses; each bad value still exits 2 before any output."""
+        path = self.write_cfg(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_x0_of_wrong_dimension_exit_two(self, tmp_path, capsys):

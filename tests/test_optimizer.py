@@ -155,6 +155,22 @@ class TestConfigs:
         with pytest.raises(ValueError, match="sigma"):
             EstimatorConfig(kind="gsg", sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_sigma_finite(self, sigma):
+        """A sigma that is not finite is refused when the config is built,
+        not by a bare ValueError from inside the minimize loop."""
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            EstimatorConfig(kind="gsg", sigma=sigma)
+
+    def test_num_directions_positive(self):
+        with pytest.raises(ValueError, match="num_directions must be >= 1"):
+            EstimatorConfig(kind="gsg", num_directions=0)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 0.7])
+    def test_theta_checked_for_every_kind(self, theta):
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 0.5\)"):
+            EstimatorConfig(kind="gsg", theta=theta)
+
     def test_interpolation_needs_n_directions(self):
         cfg = EstimatorConfig(kind="liod", num_directions=3)
         with pytest.raises(ValueError, match="exactly n"):

@@ -96,7 +96,7 @@ def as_point(x, n: int, *, finite: bool = True) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"expected a point of dimension {n}, got shape {x.shape}")
-    if finite and not np.all(np.isfinite(x)):
+    if finite and not np.isfinite(x).all():
         raise ValueError("point contains non-finite entries")
     return x
 
@@ -173,12 +173,12 @@ class Oracle:
             raise ValueError(
                 f"expected an (m, {self.dimension}) batch of points, got shape {X.shape}"
             )
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
             raise EvaluationError(f"query point at batch row {bad} is not finite", X[bad])
         values = self._phi_values(X) + self._noise_values(X)
         self.eval_count += X.shape[0]
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             bad = int(np.argwhere(~np.isfinite(values))[0, 0])
             raise EvaluationError(
                 f"objective returned a non-finite value at batch row {bad}", X[bad]

@@ -8,6 +8,8 @@ across runs.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +17,9 @@ import numpy as np
 from .core import RngStream
 
 DIRECTION_KINDS = ("coordinate", "gaussian", "orthonormal")
+
+#: Direction sets :func:`orthonormal_blocks` draws at once, with one QR.
+ORTHONORMAL_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -65,14 +70,38 @@ def gaussian_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
     return DirectionSet(_generator(rng).standard_normal((N, n)), "gaussian", rng)
 
 
-def orthonormal_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
-    """N <= n Haar-distributed orthonormal rows: the columns of Q in the
-    Householder QR of an (n, N) Gaussian draw, each times the sign of its
-    diagonal entry of R (Mezzadri 2007; without it Q[0, 0] is always < 0)."""
+def _check_orthonormal(n: int, N: int) -> None:
     if n < 1 or N < 1:
         raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
     if N > n:
         raise ValueError(f"cannot build {N} orthonormal rows in dimension {n}")
-    q, r = np.linalg.qr(_generator(rng).standard_normal((n, N)))
-    Q = (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
-    return DirectionSet(Q, "orthonormal", rng)
+
+
+def _haar_rows(G: np.ndarray) -> np.ndarray:
+    """The N orthonormal rows of each (n, N) Gaussian draw in G (..., n, N):
+    the columns of Q in its Householder QR, each times the sign of its
+    diagonal entry of R (Mezzadri 2007; without it Q[0, 0] is always < 0).
+    Each set is a transposed view of its column-scaled Q, and has the same
+    bits whether G holds one draw or a stack of them."""
+    q, r = np.linalg.qr(G)
+    q *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+    return np.swapaxes(q, -1, -2)
+
+
+def orthonormal_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
+    """N <= n Haar-distributed orthonormal rows from an (n, N) Gaussian draw."""
+    _check_orthonormal(n, N)
+    return DirectionSet(_haar_rows(_generator(rng).standard_normal((n, N))), "orthonormal", rng)
+
+
+def orthonormal_blocks(n: int, N: int, rng: RngStream) -> Iterator[DirectionSet]:
+    """``orthonormal_directions(n, N, rng.child(k))`` for k = 0, 1, ..., bit
+    for bit.  The draws of ORTHONORMAL_BLOCK sets are stacked and share one
+    QR call; sets of a block the caller never reads are discarded."""
+    _check_orthonormal(n, N)
+    block = ORTHONORMAL_BLOCK
+    for start in itertools.count(0, block):
+        streams = [rng.child(k) for k in range(start, start + block)]
+        rows = _haar_rows(np.stack([s.generator().standard_normal((n, N)) for s in streams]))
+        for Q, stream in zip(rows, streams):
+            yield DirectionSet(Q, "orthonormal", stream)

@@ -10,23 +10,27 @@ Two families:
   Gaussian rows give LIGD via a general solve.
 
 :data:`ESTIMATORS` is the one table of the five estimator kinds the harness
-and :func:`dfoline.minimize` accept, and :func:`estimate` draws directions and
-runs the estimator for any of them.  The relative-error metric
-theta = ||g - grad phi|| / ||grad phi|| lives here too, since every accuracy
-experiment reports it.
+and :func:`dfoline.minimize` accept.  :func:`estimate` draws directions and
+runs the estimator for any of them; :func:`direction_sets` gives the sets of
+a run's iterations, and :func:`estimate_on` runs the estimator on one.  The
+relative-error metric theta = ||g - grad phi|| / ||grad phi|| lives here
+too, since every accuracy experiment reports it.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DFOError, Oracle, as_point
+from .core import DFOError, Oracle, RngStream, as_point
 from .directions import (
     DirectionSet,
     coordinate_directions,
     gaussian_directions,
+    orthonormal_blocks,
     orthonormal_directions,
 )
 
@@ -52,7 +56,7 @@ class GradientEstimate:
     f_center: float | None
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.g)):
+        if not np.isfinite(self.g).all():
             raise DFOError("gradient estimate contains non-finite entries")
 
 
@@ -67,6 +71,12 @@ def _check_geometry(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> np.n
     return x
 
 
+def _value_at(oracle: Oracle, x: np.ndarray) -> float:
+    """f(x), counted, at an x that :func:`_check_geometry` returned: the
+    oracle's batch call on one row, without ``evaluate``'s second check."""
+    return float(oracle.evaluate_batch(x[None, :])[0])
+
+
 def gsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate:
     """Smoothed-gradient estimate from N forward differences.
 
@@ -77,7 +87,7 @@ def gsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate
     scaled-down version of the interpolation estimate, not the same object.
     """
     x = _check_geometry(oracle, x, sigma, dirs)
-    f0 = oracle.evaluate(x)
+    f0 = _value_at(oracle, x)
     fvals = oracle.evaluate_batch(x[None, :] + sigma * dirs.Q)
     g = gsg_from_values(fvals, f0, sigma, dirs.Q)
     return GradientEstimate(g, f0)
@@ -137,7 +147,7 @@ def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) 
                     f"direction matrix condition number {cond:.3e} exceeds "
                     f"{_COND_LIMIT:.0e}; redraw the direction set"
                 )
-    f0 = oracle.evaluate(x)
+    f0 = _value_at(oracle, x)
     F = oracle.evaluate_batch(x[None, :] + sigma * dirs.Q) - f0
     if dirs.kind == "gaussian":
         g = np.linalg.solve(dirs.Q, F / sigma)
@@ -194,10 +204,30 @@ ESTIMATORS = {
 }
 
 
+def draw_directions(kind: str, n: int, N: int, stream: RngStream) -> DirectionSet:
+    """The N directions in dimension n that estimator ``kind`` draws from ``stream``."""
+    spec = ESTIMATORS[kind]
+    build = globals()[spec.directions]
+    return build(n) if spec.directions == "coordinate_directions" else build(n, N, stream)
+
+
+def direction_sets(kind: str, n: int, N: int, rng: RngStream) -> Iterator[DirectionSet]:
+    """``draw_directions(kind, n, N, rng.child(k))`` for k = 0, 1, ...: the
+    sets of a run's iterations.  Orthonormal sets come in blocks that share
+    one QR call (:func:`~dfoline.directions.orthonormal_blocks`), with the
+    same bits."""
+    if ESTIMATORS[kind].directions == "orthonormal_directions":
+        return orthonormal_blocks(n, N, rng)
+    return (draw_directions(kind, n, N, rng.child(k)) for k in itertools.count())
+
+
 def estimate(kind: str, oracle: Oracle, x, sigma: float, N: int, stream) -> GradientEstimate:
     """Draw the N directions of estimator ``kind`` from ``stream`` and estimate at x."""
-    spec = ESTIMATORS[kind]
-    n = oracle.dimension
-    build = globals()[spec.directions]
-    dirs = build(n) if spec.directions == "coordinate_directions" else build(n, N, stream)
-    return globals()[spec.formula](oracle, x, sigma, dirs)
+    return estimate_on(kind, oracle, x, sigma,
+                       draw_directions(kind, oracle.dimension, N, stream))
+
+
+def estimate_on(kind: str, oracle: Oracle, x, sigma: float,
+                dirs: DirectionSet) -> GradientEstimate:
+    """Estimator ``kind`` at x on the direction set ``dirs``."""
+    return globals()[ESTIMATORS[kind].formula](oracle, x, sigma, dirs)

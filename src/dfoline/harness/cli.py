@@ -6,7 +6,10 @@
     dfoline list-functions
 
 Every run is sequential, in the calling thread.  ``--jobs K`` is still
-accepted by the three experiment subcommands and changes nothing.
+accepted by the three experiment subcommands and changes nothing.  Unless
+``OPENBLAS_NUM_THREADS`` is set, an experiment runs with one thread of
+numpy's bundled OpenBLAS: its threads spin on the small matrix products
+here and add CPU time, not speed.
 
 Exit codes: 0 success, 2 configuration error, 3 a verify-bounds check that
 failed (a bound violation, no trial, or a runtime failure).
@@ -15,6 +18,8 @@ failed (a bound violation, no trial, or a runtime failure).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 import numpy as np
@@ -72,6 +77,41 @@ def _list_functions() -> int:
     return 0
 
 
+def _bundled_openblas():
+    """The (get, set) thread-count functions of the OpenBLAS library that
+    numpy wheels bundle in ``numpy.libs``, or None where there is none."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
+        lib = ctypes.CDLL(os.path.join(libs, names[0]))
+        get = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (OSError, IndexError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """One OpenBLAS thread while the block runs, then the old count back;
+    nothing when OPENBLAS_NUM_THREADS is set or the library is not found."""
+    blas = None if "OPENBLAS_NUM_THREADS" in os.environ else _bundled_openblas()
+    if blas is None:
+        yield
+        return
+    get, set_threads = blas
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list-functions":
@@ -95,7 +135,7 @@ def main(argv=None) -> int:
 
     try:
         # a run that overflows is recorded as failed; numpy's warning adds nothing
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
             if args.command == "grad-accuracy":
                 result = run_gradient_accuracy(cfg, args.out)
                 print(f"wrote {result['n_records']} records to {result['records']}")

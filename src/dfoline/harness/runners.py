@@ -166,20 +166,21 @@ def _resolve_x0(choice, n: int, stream: RngStream) -> np.ndarray:
     return stream.generator().uniform(-2.0, 2.0, n)
 
 
-def _method_configs(method: dict, fn, noise_bound: float, budget: int):
-    """The estimator and stepper configs of one method on one function.
+def _method_configs(method: dict, fname: str, fn, noise_bound: float, budget: int):
+    """The estimator and stepper configs of one method on the function the
+    config names ``fname``.
 
     Both are built from the keys the method sets, so every default and range
     is the dataclass's own; the one harness default is a line search that
     tolerates the configured noise bound.  Raises ConfigError naming the
-    method when a value is out of range, a key belongs to another stepper
-    type, or the budget cannot cover one iteration.
+    method and ``fname`` when a value is out of range, a key belongs to
+    another stepper type, or the budget cannot cover one iteration.
     """
     stepper = dict(method["stepper"])
     kind = stepper.pop("type")
     if kind == "line_search":
         stepper.setdefault("eps_f", noise_bound)
-    with _config_errors(f"method {method['name']} on {fn.name}"):
+    with _config_errors(f"method {method['name']} on {fname}"):
         est_cfg = EstimatorConfig(
             **method["estimator"],
             constants=dataclasses.replace(fn.constants, eps_f=noise_bound),
@@ -211,7 +212,7 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
             if len(x0_spec) != fn.n:
                 raise ConfigError(f"x0 has dimension {len(x0_spec)}, {fname} needs {fn.n}")
     configs = {
-        (fname, method["name"]): _method_configs(method, fn, noise.bound, budget)
+        (fname, method["name"]): _method_configs(method, fname, fn, noise.bound, budget)
         for fname, fn in fns.items()
         for method in cfg["methods"]
     }

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import NoFeasibleSigmaError, ProblemConstants, sigma_range
 from .core import DFOError, Oracle, RngStream, as_point
-from .estimators import ESTIMATORS, estimate
+from .estimators import ESTIMATORS, direction_sets, estimate_on
 
 GRAD_NORM_TOL = 1.0e-12
 
@@ -291,6 +291,11 @@ class OptimizationTrace:
         return self.records[-1].evals if self.records else 0
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||, with the bits of np.linalg.norm(v): its formula for a vector."""
+    return math.sqrt(v @ v)
+
+
 def _instrument(oracle: Oracle, x: np.ndarray, g: np.ndarray | None):
     """(phi, ||grad phi||, theta_k) at x, using uncounted instrumentation."""
     phi = float(oracle.phi(x)) if not oracle.vectorized else float(oracle.phi(x[None, :])[0])
@@ -298,9 +303,9 @@ def _instrument(oracle: Oracle, x: np.ndarray, g: np.ndarray | None):
     theta_k = math.nan
     if oracle.grad_phi is not None:
         grad = np.asarray(oracle.grad_phi(x), dtype=float)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = _norm(grad)
         if g is not None and grad_norm > 0:
-            theta_k = float(np.linalg.norm(g - grad) / grad_norm)
+            theta_k = _norm(g - grad) / grad_norm
     return phi, grad_norm, theta_k
 
 
@@ -314,8 +319,11 @@ def minimize(
 ) -> OptimizationTrace:
     """Run the estimate-then-step loop until the budget, a stall, or ||g|| ~ 0.
 
-    A fresh direction set is drawn every iteration from a per-iteration
-    sub-stream of ``rng``, so runs are bit-reproducible given (seed, config).
+    Iteration k's direction set is drawn from the sub-stream ``rng.child(k)``,
+    so runs are bit-reproducible given (seed, config).  The sets depend on
+    nothing else, so orthonormal ones are drawn in blocks of iterations with
+    one QR call, with the bits each set has alone (see
+    :func:`~dfoline.estimators.direction_sets`).
     The trace gains one record per iterate including the final one, and ends
     "converged", "budget_exhausted", "noise_floor", or "failed" (see
     ``trace.detail``).  A :class:`DFOError` raised inside the loop ends the
@@ -337,6 +345,7 @@ def minimize(
     if not isinstance(stepper, tuple(STEPPERS.values())):
         raise TypeError(f"unknown stepper config {type(stepper)!r}")
     step = stepper.start(n)
+    sets = direction_sets(estimator.kind, n, N, rng)
 
     trace = OptimizationTrace()
     extra = 1 if isinstance(stepper, LineSearchConfig) else 0
@@ -351,7 +360,7 @@ def minimize(
             measured = (math.nan, phi, grad_norm, math.nan, math.nan)
         f, phi, grad_norm, g_norm, theta_k = measured
         trace.records.append(IterationRecord(
-            k, x.copy(), f, phi, grad_norm, g_norm, math.nan, theta_k, oracle.eval_count, status,
+            k, x, f, phi, grad_norm, g_norm, math.nan, theta_k, oracle.eval_count, status,
         ))
         trace.status, trace.detail = status, detail
         return trace
@@ -363,7 +372,7 @@ def minimize(
 
             sigma = estimator.sigma
             if estimator.adaptive:
-                grad_norm_here = float(np.linalg.norm(np.asarray(oracle.grad_phi(x), dtype=float)))
+                grad_norm_here = _norm(np.asarray(oracle.grad_phi(x), dtype=float))
                 try:
                     lo, hi = sigma_range(estimator.theta, grad_norm_here, n, estimator.constants)
                 except NoFeasibleSigmaError as exc:
@@ -372,10 +381,10 @@ def minimize(
                 if sigma <= 0:
                     return end("noise_floor", "accuracy window collapsed to zero radius")
 
-            est = estimate(estimator.kind, oracle, x, sigma, N, rng.child(k))
+            est = estimate_on(estimator.kind, oracle, x, sigma, next(sets))
             f_k = est.f_center if est.f_center is not None else oracle.evaluate(x)
             g = est.g
-            g_norm = float(np.linalg.norm(g))
+            g_norm = _norm(g)
             phi_k, grad_norm_k, theta_k = _instrument(oracle, x, g)
             measured = (f_k, phi_k, grad_norm_k, g_norm, theta_k)
 
@@ -396,7 +405,7 @@ def minimize(
                 return end(status, str(exc), measured)
 
             trace.records.append(IterationRecord(
-                k, x.copy(), f_k, phi_k, grad_norm_k, g_norm, alpha, theta_k, oracle.eval_count))
+                k, x, f_k, phi_k, grad_norm_k, g_norm, alpha, theta_k, oracle.eval_count))
             x = x_next
             k += 1
     except DFOError as exc:

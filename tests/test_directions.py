@@ -1,5 +1,7 @@
 """Direction sets: coordinate basis, Gaussian draws, orthonormalized draws."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from dfoline import (
     RngStream,
     cgsg,
     coordinate_directions,
+    directions,
     gaussian_directions,
     orthonormal_directions,
 )
@@ -127,3 +130,30 @@ class TestOrthonormal:
             acc += np.outer(u, u)
         acc /= reps
         assert np.max(np.abs(acc - np.eye(n) / n)) < 0.01
+
+
+class TestOrthonormalBlocks:
+    """``orthonormal_blocks`` draws ORTHONORMAL_BLOCK sets with one stacked
+    QR; each set must be the one ``orthonormal_directions`` draws alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 33])
+    def test_sets_equal_per_stream_draws_bit_for_bit(self, n):
+        B = directions.ORTHONORMAL_BLOCK
+        rng = RngStream(91, 1)
+        sets = list(itertools.islice(directions.orthonormal_blocks(n, n, rng), 2 * B + 2))
+        for k in (0, B - 1, B, 2 * B + 1):
+            alone = orthonormal_directions(n, n, rng.child(k))
+            assert sets[k].Q.tobytes() == alone.Q.tobytes()
+            # the same memory layout, so products with Q round the same way
+            assert sets[k].Q.strides == alone.Q.strides
+            assert sets[k].stream == rng.child(k) and sets[k].kind == "orthonormal"
+
+    def test_fewer_rows_than_dimension(self):
+        rng = RngStream(4, 1)
+        sets = directions.orthonormal_blocks(7, 3, rng)
+        for k, ds in zip(range(3), sets):
+            assert ds.Q.tobytes() == orthonormal_directions(7, 3, rng.child(k)).Q.tobytes()
+
+    def test_sizes_validated(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            next(directions.orthonormal_blocks(3, 4, RngStream(0)))

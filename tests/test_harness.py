@@ -12,6 +12,7 @@ import pytest
 
 from dfoline import EvaluationError, NoiseModel, RngStream, get_function, interpolation_error
 from dfoline.estimators import estimate
+from dfoline.harness import cli
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
 from dfoline.harness.csvio import read_csv, record_seed, write_csv
@@ -497,6 +498,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and field in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "set"])
+    def test_blas_threads_of_a_run(self, tmp_path, monkeypatch, variable):
+        """With OPENBLAS_NUM_THREADS unset, a run uses one thread of numpy's
+        bundled OpenBLAS and puts the old count back; with it set, the CLI
+        leaves the count alone."""
+        blas = cli._bundled_openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        get, set_threads = blas
+        original = get()
+        seen = []
+        run = cli.run_gradient_accuracy
+        monkeypatch.setattr(cli, "run_gradient_accuracy",
+                            lambda cfg, out: seen.append(get()) or run(cfg, out))
+        if variable is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", variable)
+        set_threads(2)
+        try:
+            count = get()
+            path = self.write_cfg(tmp_path, grad_cfg(trials=2))
+            assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 0
+            assert seen == [1 if variable is None else count]
+            assert get() == count
+        finally:
+            set_threads(original)
+
+    def test_method_error_names_the_config_key(self, tmp_path, capsys):
+        """A method's config error names the function by the key the config
+        wrote, not by its display name."""
+        path = self.write_cfg(tmp_path, opt_cfg(budget=1))
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "on quad_n10: budget 1" in err and "quad(n=" not in err
 
     def test_x0_of_wrong_dimension_exit_two(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, opt_cfg(x0=[1.0, 2.0]))

@@ -17,12 +17,14 @@ from dfoline import (
     StallError,
     armijo_holds,
     backtracking_step,
+    directions,
     eta,
     get_function,
     LineSearchConstants,
     minimize,
     quadratic,
 )
+from dfoline.harness.csvio import TRACE_COLUMNS, write_csv
 
 
 def half_square_oracle():
@@ -378,3 +380,33 @@ class TestMinimize:
         assert trace.evals_total <= 100
         # first iteration: 6 symmetric evals + 1 center + >= 1 trial
         assert trace.records[0].evals >= 8
+
+
+class TestDirectionBlocks:
+    """minimize draws liod's direction sets ORTHONORMAL_BLOCK iterations at a
+    time; the trace must be the one a draw per iteration gives, byte for byte."""
+
+    @staticmethod
+    def trace_bytes(tmp_path, budget):
+        fn = quadratic(10, 1.0, 10.0)
+        trace = minimize(fn.oracle(NoiseModel("uniform", 1.0e-6, seed=3)), np.ones(10),
+                         EstimatorConfig(kind="liod", sigma=1.0e-4),
+                         LineSearchConfig(eps_f=1.0e-6), budget, RngStream(8, 1))
+        path = tmp_path / "trace.csv"
+        write_csv(path, TRACE_COLUMNS, [vars(r) for r in trace.records], "")
+        return trace, path.read_bytes() + b"".join(r.x.tobytes() for r in trace.records)
+
+    def test_blocks_give_the_trace_of_one_set_per_draw(self, tmp_path, monkeypatch):
+        trace, blocked = self.trace_bytes(tmp_path, 2000)
+        assert trace.iterations > 3 * directions.ORTHONORMAL_BLOCK
+        monkeypatch.setattr(directions, "ORTHONORMAL_BLOCK", 1)
+        assert self.trace_bytes(tmp_path, 2000)[1] == blocked
+
+    def test_run_ending_mid_block(self, tmp_path, monkeypatch):
+        """Sets drawn past the run's last iteration change nothing."""
+        monkeypatch.setattr(directions, "ORTHONORMAL_BLOCK", 1)
+        trace, alone = self.trace_bytes(tmp_path, 300)
+        for block in (trace.iterations + 5, 7):
+            assert trace.iterations % block
+            monkeypatch.setattr(directions, "ORTHONORMAL_BLOCK", block)
+            assert self.trace_bytes(tmp_path, 300)[1] == alone

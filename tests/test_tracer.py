@@ -70,3 +70,26 @@ def test_tracer_counts_minimize_and_backtracking(stepper, noise, counts):
     assert totals["optimizer.minimize.iterations"] == iterations
     assert totals["optimizer.backtracking_step.calls"] == searches
     assert totals["optimizer.backtracking_step.trials"] == trials
+
+
+@pytest.mark.parametrize("kind, formula, stepper", [
+    ("liod", "interpolation_gradient", LineSearchConfig(eps_f=1.0e-6)),
+    ("gsg", "gsg", FixedStepConfig(alpha=0.02)),
+], ids=["liod_line_search", "gsg_fixed"])
+def test_tracer_sees_every_evaluation_and_estimate(kind, formula, stepper):
+    """The benchmark counts evaluations at ``Oracle.evaluate_batch`` and
+    checks them against the output files, and counts estimates at the
+    estimator's formula: a loop that evaluated or estimated around either
+    would make its numbers wrong."""
+    oracle = quadratic(10, 1.0, 10.0).oracle(NoiseModel("uniform", 1.0e-6, seed=2))
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        trace = dfoline.optimizer.minimize(
+            oracle, np.ones(10), EstimatorConfig(kind=kind, sigma=1.0e-4), stepper,
+            budget=1500, rng=RngStream(4, 1),
+        )
+    totals = tracer.totals()
+    estimated = sum(not np.isnan(r.g_norm) for r in trace.records)
+    assert estimated > 40
+    assert totals["core.Oracle.evaluate_batch.points"] == oracle.eval_count
+    assert totals[f"estimators.{formula}.calls"] == estimated

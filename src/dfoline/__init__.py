@@ -69,55 +69,3 @@ from .testfns import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamConfig",
-    "ConditioningError",
-    "DFOError",
-    "DirectionSet",
-    "EstimatorConfig",
-    "EvaluationError",
-    "FixedStepConfig",
-    "GradientEstimate",
-    "InfeasibleConstantsError",
-    "LineSearchConfig",
-    "LineSearchConstants",
-    "NoFeasibleSigmaError",
-    "NoiseModel",
-    "OptimizationTrace",
-    "Oracle",
-    "ProblemConstants",
-    "RngStream",
-    "StallError",
-    "TestFunction",
-    "UndefinedMetricError",
-    "alpha_bar",
-    "armijo_holds",
-    "backtracking_step",
-    "cgsg",
-    "convex_gap_bound",
-    "coordinate_directions",
-    "corpus",
-    "eta",
-    "gaussian_directions",
-    "gaussian_smoothing_constants",
-    "get_function",
-    "gsg",
-    "gsg_covariance_top",
-    "gsg_misses",
-    "gsg_sample_size",
-    "gsg_variance_bound",
-    "interpolation_error",
-    "interpolation_error_bound",
-    "interpolation_gradient",
-    "minimize",
-    "moment_identity_check",
-    "nonconvex_avg_bound",
-    "orthonormal_directions",
-    "quadratic",
-    "relative_error",
-    "rosenbrock",
-    "sigma_range",
-    "strongly_convex_certificate",
-    "synthetic_sin",
-]

@@ -9,6 +9,8 @@ distributional assumption.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,47 @@ NOISE_KINDS = ("none", "uniform", "sinusoidal", "adversarial_sign")
 #: Default angular frequency for sinusoidal noise.  Fast enough that the
 #: oscillation is effectively non-smooth at the sampling radii exercised here.
 DEFAULT_SINUSOID_OMEGA = 1.0e3
+
+#: Child streams whose seeds :meth:`RngStream.child_generators` derives at once.
+SEED_BLOCK = 256
+
+# the constants of numpy's SeedSequence hash (NEP 19), on 32-bit words
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+
+
+def _hash(value, const: int, mult: int):
+    """One hash step on ``value`` (uint64 entries below 2**32), and the next constant."""
+    const_next = const * mult & _MASK
+    value = (value ^ const) * const_next & _MASK
+    return value ^ value >> 16, const_next
+
+
+def _child_seeds(pool: list, const: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 4) uint64 PCG64 seeds of children start..stop-1: each
+    index, the last entropy word, mixed into the parent's pool, then hashed out."""
+    pool, index = list(pool), np.arange(start, stop, dtype=np.uint64)
+    for dst in range(4):
+        h, const = _hash(index, const, _MULT_A)
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * h) & _MASK
+        pool[dst] = mixed ^ mixed >> 16
+    state, const = [], _INIT_B
+    for i in range(8):
+        word, const = _hash(pool[i % 4], const, _MULT_B)
+        state.append(word)
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+
+
+class _SeedWords:
+    """A child's four PCG64 seed words, standing in for its SeedSequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype):
+        if (n_words, dtype) != (4, np.uint64):  # PCG64's one request
+            raise ValueError("holds PCG64's four uint64 seed words only")
+        return self.words
 
 
 class DFOError(Exception):
@@ -43,7 +86,8 @@ class RngStream:
     Identical ``(seed, stream_id)`` always yields the identical draw sequence;
     distinct ids give streams that are independent by construction
     (``SeedSequence`` spawn keys).  The generator algorithm is pinned to PCG64
-    so sequences are byte-identical across platforms.
+    so sequences are byte-identical across platforms.  Child streams come in
+    blocks (:meth:`child_generators`), each with the bits numpy gives it alone.
     """
 
     seed: int
@@ -58,6 +102,32 @@ class RngStream:
     def child(self, index: int) -> "RngStream":
         """Derive the ``index``-th sub-stream (independent of this one)."""
         return RngStream(self.seed, self.stream_id, (*self.path, index))
+
+    def child_generators(self, start: int = 0) -> Iterator[np.random.Generator]:
+        """``self.child(k).generator()`` for k = start, start + 1, ..., with the
+        same bits.  Children differ only in their last entropy word, so the
+        pool before it is numpy's, and SEED_BLOCK seeds are hashed from it at
+        once; each generator is built as it is yielded.  Past 2**32 a child's
+        index has two words, and numpy seeds the child."""
+        from numpy.random.bit_generator import ISeedSequence  # not at import
+
+        if start < 0:
+            raise ValueError(f"expected non-negative integer, got {start}")
+        ISeedSequence.register(_SeedWords)
+        Generator, PCG64 = np.random.Generator, np.random.PCG64
+        key = (self.stream_id, *self.path)
+        pool = [int(w) for w in np.random.SeedSequence(self.seed, spawn_key=key).pool]
+        # 4 hash steps per entropy word: the seed's, padded to 4, then the key's
+        n_words = [max(1, (int(v).bit_length() + 31) // 32) for v in (self.seed, *key)]
+        steps = 4 * (max(4, n_words[0]) + sum(n_words[1:]))
+        const = _INIT_A * pow(_MULT_A, steps, 2**32) & _MASK
+        k = start
+        while k < 2**32:
+            for words in _child_seeds(pool, const, k, min(k + SEED_BLOCK, 2**32)):
+                yield Generator(PCG64(_SeedWords(words)))
+                k += 1
+        for k in itertools.count(k):
+            yield self.child(k).generator()
 
 
 @dataclass(frozen=True)
@@ -108,7 +178,8 @@ class Oracle:
     each call increments ``eval_count`` by exactly one per point.  The smooth
     part and its analytic gradient, when known, stay reachable through
     :attr:`phi` and :attr:`grad_phi` for instrumentation only -- reading them
-    never touches the evaluation counter.
+    never touches the evaluation counter.  A ``vectorized`` phi maps an
+    (m, n) batch to m values; any other shape is a ValueError.
     """
 
     def __init__(
@@ -154,7 +225,10 @@ class Oracle:
 
     def _phi_values(self, X: np.ndarray) -> np.ndarray:
         if self.vectorized:
-            return np.asarray(self.phi(X), dtype=float)
+            values = np.asarray(self.phi(X), dtype=float)
+            if values.shape != X.shape[:1]:
+                raise ValueError(f"vectorized phi gave shape {values.shape}, not {X.shape[:1]}")
+            return values
         return np.array([float(self.phi(row)) for row in X], dtype=float)
 
     def evaluate(self, x) -> float:

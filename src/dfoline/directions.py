@@ -41,14 +41,6 @@ class DirectionSet:
             )
         object.__setattr__(self, "Q", Q)
 
-    @property
-    def count(self) -> int:
-        return self.Q.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.Q.shape[1]
-
 
 def _generator(rng: RngStream) -> np.random.Generator:
     if not isinstance(rng, RngStream):
@@ -94,14 +86,24 @@ def orthonormal_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
     return DirectionSet(_haar_rows(_generator(rng).standard_normal((n, N))), "orthonormal", rng)
 
 
+def gaussian_sets(n: int, N: int, rng: RngStream) -> Iterator[DirectionSet]:
+    """``gaussian_directions(n, N, rng.child(k))`` for k = 0, 1, ..., bit for
+    bit, from the block-seeded :meth:`~dfoline.core.RngStream.child_generators`."""
+    if n < 1 or N < 1:
+        raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
+    for k, gen in enumerate(rng.child_generators()):
+        yield DirectionSet(gen.standard_normal((N, n)), "gaussian", rng.child(k))
+
+
 def orthonormal_blocks(n: int, N: int, rng: RngStream) -> Iterator[DirectionSet]:
     """``orthonormal_directions(n, N, rng.child(k))`` for k = 0, 1, ..., bit
-    for bit.  The draws of ORTHONORMAL_BLOCK sets are stacked and share one
-    QR call; sets of a block the caller never reads are discarded."""
+    for bit, from the block-seeded ``rng.child_generators()``.  The draws of
+    ORTHONORMAL_BLOCK sets are stacked and share one QR call; sets of a block
+    the caller never reads are discarded."""
     _check_orthonormal(n, N)
-    block = ORTHONORMAL_BLOCK
+    block, gens = ORTHONORMAL_BLOCK, rng.child_generators()
     for start in itertools.count(0, block):
         streams = [rng.child(k) for k in range(start, start + block)]
-        rows = _haar_rows(np.stack([s.generator().standard_normal((n, N)) for s in streams]))
+        rows = _haar_rows(np.stack([next(gens).standard_normal((n, N)) for _ in streams]))
         for Q, stream in zip(rows, streams):
             yield DirectionSet(Q, "orthonormal", stream)

@@ -30,6 +30,7 @@ from .directions import (
     DirectionSet,
     coordinate_directions,
     gaussian_directions,
+    gaussian_sets,
     orthonormal_blocks,
     orthonormal_directions,
 )
@@ -64,9 +65,9 @@ def _check_geometry(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> np.n
     if sigma <= 0 or not np.isfinite(sigma):
         raise ValueError(f"sampling radius must be positive and finite, got {sigma}")
     x = as_point(x, oracle.dimension, finite=False)
-    if dirs.dimension != oracle.dimension:
+    if dirs.Q.shape[1] != oracle.dimension:
         raise ValueError(
-            f"direction dimension {dirs.dimension} != oracle dimension {oracle.dimension}"
+            f"direction dimension {dirs.Q.shape[1]} != oracle dimension {oracle.dimension}"
         )
     return x
 
@@ -111,7 +112,7 @@ def cgsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimat
     complexity bounds in :mod:`dfoline.bounds` cover the one-sided family.
     """
     x = _check_geometry(oracle, x, sigma, dirs)
-    N = dirs.count
+    N = dirs.Q.shape[0]
     offsets = sigma * dirs.Q
     fvals = oracle.evaluate_batch(np.vstack([x + offsets, x - offsets]))
     g = ((fvals[:N] - fvals[N:]) / sigma) @ dirs.Q / (2.0 * N)
@@ -132,9 +133,9 @@ def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) 
     """
     x = _check_geometry(oracle, x, sigma, dirs)
     n = oracle.dimension
-    if dirs.count != n:
+    if dirs.Q.shape[0] != n:
         raise ValueError(
-            f"interpolation needs exactly N = n = {n} directions, got {dirs.count}"
+            f"interpolation needs exactly N = n = {n} directions, got {dirs.Q.shape[0]}"
         )
     if dirs.kind == "gaussian":
         cond = np.linalg.cond(dirs.Q)
@@ -212,12 +213,16 @@ def draw_directions(kind: str, n: int, N: int, stream: RngStream) -> DirectionSe
 
 
 def direction_sets(kind: str, n: int, N: int, rng: RngStream) -> Iterator[DirectionSet]:
-    """``draw_directions(kind, n, N, rng.child(k))`` for k = 0, 1, ...: the
-    sets of a run's iterations.  Orthonormal sets come in blocks that share
-    one QR call (:func:`~dfoline.directions.orthonormal_blocks`), with the
-    same bits."""
-    if ESTIMATORS[kind].directions == "orthonormal_directions":
+    """``draw_directions(kind, n, N, rng.child(k))`` for k = 0, 1, ..., with
+    the same bits: the sets of a run's iterations.  Their streams are seeded
+    in blocks (:meth:`~dfoline.core.RngStream.child_generators`), and
+    orthonormal sets share one QR call per block
+    (:func:`~dfoline.directions.orthonormal_blocks`)."""
+    directions = ESTIMATORS[kind].directions
+    if directions == "orthonormal_directions":
         return orthonormal_blocks(n, N, rng)
+    if directions == "gaussian_directions":
+        return gaussian_sets(n, N, rng)
     return (draw_directions(kind, n, N, rng.child(k)) for k in itertools.count())
 
 

@@ -2,13 +2,3 @@
 
 from .config import ConfigError, config_hash, load_config, validate_config
 from .runners import run_gradient_accuracy, run_optimization, run_verify_bounds
-
-__all__ = [
-    "ConfigError",
-    "config_hash",
-    "load_config",
-    "validate_config",
-    "run_gradient_accuracy",
-    "run_optimization",
-    "run_verify_bounds",
-]

@@ -127,6 +127,14 @@ def _schemas() -> dict:
     }
 
 
+# A count or seed is a JSON integer: jsonschema's "integer" also admits 2.0 and 1.7e308.
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
+)
+
+
 def validate_config(cfg: dict) -> dict:
     """Schema-check a parsed config; returns it unchanged on success."""
     if not isinstance(cfg, dict):
@@ -138,7 +146,7 @@ def validate_config(cfg: dict) -> dict:
             f"config needs \"experiment\" set to one of {list(schemas)}, got {kind!r}"
         )
     try:
-        jsonschema.validate(cfg, schemas[kind])
+        jsonschema.validate(cfg, schemas[kind], cls=_VALIDATOR)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"invalid config at {path}: {exc.message}") from exc

@@ -63,11 +63,3 @@ def write_csv(path, columns: list[str], rows, cfg_hash: str) -> None:
         for row in rows:
             writer.writerow([_cell(row.get(c)) for c in columns])
 
-
-def read_csv(path) -> tuple[str, list[dict]]:
-    """Read back a harness CSV; returns (config hash, rows as string dicts)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline().rstrip("\n")
-        prefix = "# config_sha256="
-        cfg_hash = first[len(prefix):] if first.startswith(prefix) else ""
-        return cfg_hash, list(csv.DictReader(fh))

@@ -321,9 +321,9 @@ def minimize(
 
     Iteration k's direction set is drawn from the sub-stream ``rng.child(k)``,
     so runs are bit-reproducible given (seed, config).  The sets depend on
-    nothing else, so orthonormal ones are drawn in blocks of iterations with
-    one QR call, with the bits each set has alone (see
-    :func:`~dfoline.estimators.direction_sets`).
+    nothing else, so the child streams are seeded in blocks, and orthonormal
+    sets drawn in blocks with one QR call, with the bits numpy gives each
+    stream and set alone (see :func:`~dfoline.estimators.direction_sets`).
     The trace gains one record per iterate including the final one, and ends
     "converged", "budget_exhausted", "noise_floor", or "failed" (see
     ``trace.detail``).  A :class:`DFOError` raised inside the loop ends the

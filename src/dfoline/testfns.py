@@ -4,28 +4,24 @@ Desk-scale replacements for a large external benchmark set: a separable
 sin/cos function with a rank-one quadratic coupling term, a diagonal strongly
 convex quadratic, and chained Rosenbrock.  Each carries the constants the
 theory consumes (L, and where meaningful mu, L_f, phi_hat, phi_star), certified
-on the test box [-10, 10]^n, and every instance verifies its own gradient
-against central finite differences at construction.
+on the test box [-10, 10]^n.  The test suite checks every analytic gradient
+against central finite differences.
 """
 
 from __future__ import annotations
 
 import functools
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import ProblemConstants
-from .core import NoiseModel, Oracle, RngStream
+from .core import NoiseModel, Oracle
 
 FUNCTION_CLASSES = ("convex", "strongly_convex", "nonconvex")
 
 #: Half-width of the box on which L and L_f certificates hold.
 BOX_HALF_WIDTH = 10.0
-
-_SELF_TEST_POINTS = 100
-_SELF_TEST_SEED = 731
 
 
 @dataclass(frozen=True)
@@ -59,32 +55,6 @@ class TestFunction:
             vectorized=True,
             name=self.name,
         )
-
-
-def _central_fd(value, x: np.ndarray) -> np.ndarray:
-    h = 1.0e-5 * np.maximum(1.0, np.abs(x))
-    E = np.diag(h)
-    vals = value(np.vstack([x + E, x - E]))
-    n = x.size
-    return (vals[:n] - vals[n:]) / (2.0 * h)
-
-
-def _self_test(fn: TestFunction) -> TestFunction:
-    """Check the analytic gradient against central differences; fail loudly."""
-    label = zlib.crc32(fn.name.encode()) % 2**16  # stable across processes
-    gen = RngStream(_SELF_TEST_SEED, stream_id=label).generator()
-    X = gen.uniform(-2.0, 2.0, size=(_SELF_TEST_POINTS, fn.n))
-    for x in X:
-        g = np.asarray(fn.gradient(x), dtype=float)
-        g_fd = _central_fd(fn.value, x)
-        err = np.linalg.norm(g - g_fd)
-        tol = 1.0e-6 * max(1.0, float(np.linalg.norm(g)))
-        if err > tol:
-            raise AssertionError(
-                f"{fn.name}: analytic gradient disagrees with central differences "
-                f"(||diff||={err:.3e} > {tol:.3e} at x={x!r})"
-            )
-    return fn
 
 
 def synthetic_sin(n: int, M: float, L: float) -> TestFunction:
@@ -122,7 +92,7 @@ def synthetic_sin(n: int, M: float, L: float) -> TestFunction:
     # ((L-M)/n)|sum x| sqrt(n) <= (L-M) * 10 sqrt(n).
     L_f = np.sqrt(n * (M * M + 1.0) / 2.0) + BOX_HALF_WIDTH * (L - M) * np.sqrt(n)
     consts = ProblemConstants(L=L_grad, L_f=float(L_f), phi_hat=-(n / 2.0) * (M + 1.0))
-    return _self_test(TestFunction(f"sin(n={n},M={M:g},L={L:g})", n, value, gradient, consts, "nonconvex"))
+    return TestFunction(f"sin(n={n},M={M:g},L={L:g})", n, value, gradient, consts, "nonconvex")
 
 
 def quadratic(n: int, mu: float, L: float) -> TestFunction:
@@ -152,7 +122,7 @@ def quadratic(n: int, mu: float, L: float) -> TestFunction:
         phi_hat=0.0,
         phi_star=0.0,
     )
-    return _self_test(TestFunction(f"quad(n={n},mu={mu:g},L={L:g})", n, value, gradient, consts, "strongly_convex"))
+    return TestFunction(f"quad(n={n},mu={mu:g},L={L:g})", n, value, gradient, consts, "strongly_convex")
 
 
 def rosenbrock(n: int) -> TestFunction:
@@ -188,12 +158,12 @@ def rosenbrock(n: int) -> TestFunction:
     consts = ProblemConstants(
         L=L_grad, L_f=float(comp * np.sqrt(n)), phi_hat=0.0, phi_star=0.0
     )
-    return _self_test(TestFunction(f"rosenbrock(n={n})", n, value, gradient, consts, "nonconvex"))
+    return TestFunction(f"rosenbrock(n={n})", n, value, gradient, consts, "nonconvex")
 
 
 @functools.cache
 def _presets() -> dict[str, TestFunction]:
-    """Build and self-test every preset once per process."""
+    """Build every preset once per process."""
     return {
         "sin_n20": synthetic_sin(20, 1.0, 8.0),
         "sin_n100": synthetic_sin(100, 1.0, 8.0),

@@ -1,10 +1,16 @@
 """Oracle boundary: noise kinds, evaluation accounting, seeded streams."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfoline import EvaluationError, NoiseModel, Oracle, RngStream
-from dfoline.core import DEFAULT_SINUSOID_OMEGA, as_point
+from dfoline.core import DEFAULT_SINUSOID_OMEGA, SEED_BLOCK, as_point
 
 
 def sphere(x):
@@ -39,6 +45,58 @@ class TestRngStream:
         # cross-platform byte-identity relies on a fixed bit generator
         gen = RngStream(0).generator()
         assert type(gen.bit_generator).__name__ == "PCG64"
+
+
+def seed_words(gen):
+    """The four uint64 words a generator's PCG64 was seeded with."""
+    return gen.bit_generator.seed_seq.generate_state(4, np.uint64)
+
+
+class TestChildGenerators:
+    """``child_generators`` hashes the seeds of SEED_BLOCK children at once;
+    every child must get numpy's own seed words and draws."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1, 2**97 + 3, 2**160 + 1]),
+                          st.integers(0, 2**200)),
+           stream_id=st.one_of(st.integers(0, 3), st.integers(0, 2**70)),
+           path=st.lists(st.integers(0, 2**40), max_size=3),
+           start=st.sampled_from([0, 1, SEED_BLOCK - 3, 2**32 - SEED_BLOCK - 2]))
+    def test_seed_words_are_numpys(self, seed, stream_id, path, start):
+        rng = RngStream(seed, stream_id, tuple(path))
+        gens = rng.child_generators(start)
+        for k, gen in zip(range(start, start + SEED_BLOCK + 2), gens):
+            expected = np.random.SeedSequence(seed, spawn_key=(stream_id, *path, k))
+            assert seed_words(gen).tobytes() == expected.generate_state(4, np.uint64).tobytes()
+
+    @pytest.mark.parametrize("k", [0, SEED_BLOCK - 1, SEED_BLOCK, 2**32 - 1, 2**32])
+    def test_draws_equal_the_childs_own(self, k):
+        rng = RngStream(2**64 - 1, 1, (5,))
+        alone = rng.child(k).generator().standard_normal(9)
+        assert next(rng.child_generators(k)).standard_normal(9).tobytes() == alone.tobytes()
+
+    def test_stream_runs_on_past_two_to_the_32(self):
+        """The last one-word child index and the first two-word one follow each other."""
+        rng = RngStream(3, 2)
+        for k, gen in zip(range(2**32 - 2, 2**32 + 2), rng.child_generators(2**32 - 2)):
+            assert gen.random(4).tobytes() == rng.child(k).generator().random(4).tobytes()
+
+    @pytest.mark.parametrize("rng, start", [
+        (RngStream(-1), 0), (RngStream(0, -2), 0), (RngStream(0, 1, (4, -3)), 0),
+        (RngStream(0), -1),
+    ], ids=["seed", "stream_id", "path", "start"])
+    def test_negative_entries_rejected(self, rng, start):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(rng.child_generators(start))
+
+    def test_cli_import_leaves_numpy_random_out(self):
+        """numpy.random costs about 13 ms to import; the CLI does not load it
+        until a run first draws."""
+        code = "import sys, dfoline.harness.cli; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestNoiseModel:
@@ -117,6 +175,14 @@ class TestOracleValidation:
         o = Oracle(sphere, 3)
         with pytest.raises(ValueError, match="batch"):
             o.evaluate_batch(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("phi", [lambda X: float(X.sum()), lambda X: X.sum(axis=1)[:, None]],
+                             ids=["scalar", "column"])
+    def test_vectorized_phi_gives_one_value_per_point(self, phi):
+        o = Oracle(phi, 2, NoiseModel("uniform", 1e-3), vectorized=True)
+        with pytest.raises(ValueError, match=r"vectorized phi gave shape .*, not \(3,\)"):
+            o.evaluate_batch(np.ones((3, 2)))
+        assert o.eval_count == 0
 
     def test_non_finite_input_rejected_before_evaluation(self):
         calls = []

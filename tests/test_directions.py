@@ -21,7 +21,7 @@ from dfoline import (
 class TestDirectionSetType:
     def test_count_and_dimension(self):
         ds = DirectionSet(np.ones((3, 5)), "gaussian")
-        assert ds.count == 3 and ds.dimension == 5
+        assert ds.Q.shape == (3, 5)
 
     def test_requires_2d(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -157,3 +157,20 @@ class TestOrthonormalBlocks:
     def test_sizes_validated(self):
         with pytest.raises(ValueError, match="orthonormal"):
             next(directions.orthonormal_blocks(3, 4, RngStream(0)))
+
+
+class TestGaussianSets:
+    """``gaussian_sets`` draws from block-seeded child streams; each set must
+    be the one ``gaussian_directions`` draws alone."""
+
+    def test_sets_equal_per_stream_draws_bit_for_bit(self):
+        rng = RngStream(91, 1, (2,))
+        sets = list(itertools.islice(directions.gaussian_sets(4, 7, rng), 300))
+        for k in (0, 1, 255, 256, 299):
+            alone = gaussian_directions(4, 7, rng.child(k))
+            assert sets[k].Q.tobytes() == alone.Q.tobytes() and sets[k].Q.shape == (7, 4)
+            assert sets[k].stream == rng.child(k) and sets[k].kind == "gaussian"
+
+    def test_sizes_validated(self):
+        with pytest.raises(ValueError, match="N >= 1"):
+            next(directions.gaussian_sets(3, 0, RngStream(0)))

@@ -1,5 +1,6 @@
 """Experiment harness: configs, CSV persistence, runners, and the CLI."""
 
+import csv
 import json
 import math
 import os
@@ -15,13 +16,22 @@ from dfoline.estimators import estimate
 from dfoline.harness import cli
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
-from dfoline.harness.csvio import read_csv, record_seed, write_csv
+from dfoline.harness.csvio import record_seed, write_csv
 from dfoline.harness.runners import (
     MAX_SAMPLE_SIZE,
     run_gradient_accuracy,
     run_optimization,
     run_verify_bounds,
 )
+
+
+def read_csv(path) -> tuple[str, list[dict]]:
+    """Read back a harness CSV; returns (config hash, rows as string dicts)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        first = fh.readline().rstrip("\n")
+        prefix = "# config_sha256="
+        cfg_hash = first[len(prefix):] if first.startswith(prefix) else ""
+        return cfg_hash, list(csv.DictReader(fh))
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -267,6 +277,28 @@ class TestOptimizationRunner:
         assert {r["method"] for r in agg} == {"liod_ls", "gsg_fixed"}
         assert max(int(r["n_seeds"]) for r in agg) == 3
 
+    def test_aggregate_is_numpys_envelope(self, tmp_path):
+        """Each aggregate row holds np.mean, np.min and np.max over the seeds'
+        trace rows at its k, to the bit (a NaN is written as an empty cell)."""
+        res = run_optimization(opt_cfg(), str(tmp_path))
+        traces = {}
+        for path in res["traces"]:
+            fname, mname, _ = os.path.basename(path)[len("trace_"):-len(".csv")].split("__")
+            traces.setdefault((fname, mname), []).append(read_csv(path)[1])
+        _, agg = read_csv(res["aggregate"])
+        assert len(agg) == sum(max(map(len, ts)) for ts in traces.values())
+        for row in agg:
+            k = int(row["k"])
+            recs = [t[k] for t in traces[row["function"], row["method"]] if len(t) > k]
+            def col(name):
+                return np.array([float(r[name] or "nan") for r in recs])
+            expected = [np.mean(col("phi")), np.min(col("phi")), np.max(col("phi")),
+                        np.mean(col("grad_norm_true")), np.mean(col("evals"))]
+            got = [float(row[c] or "nan") for c in
+                   ("phi_mean", "phi_min", "phi_max", "grad_norm_true_mean", "evals_mean")]
+            assert int(row["n_seeds"]) == len(recs)
+            assert np.array_equal(got, expected, equal_nan=True), row
+
     def test_exact_search_beats_noisy_fixed_step(self, tmp_path):
         res = run_optimization(opt_cfg(), str(tmp_path))
         wins = 0
@@ -498,6 +530,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and field in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("grad-accuracy", grad_cfg(trials=2.0), "trials"),
+        ("grad-accuracy", grad_cfg(n_factors=[2.0]), "n_factors/0"),
+        ("grad-accuracy", grad_cfg(seed=3.0), "seed"),
+        ("verify-bounds", {"experiment": "verify_bounds", "trials": 10.0}, "trials"),
+        ("verify-bounds", {"experiment": "verify_bounds", "trials": 1.7e308}, "trials"),
+        ("optimize", opt_cfg(methods=[{"name": "m",
+                                       "estimator": {"kind": "gsg", "num_directions": 4.0},
+                                       "stepper": {"type": "fixed"}}]),
+         "methods/0/estimator/num_directions"),
+        ("optimize", opt_cfg(seeds=[0.0]), "seeds/0"),
+    ], ids=["grad_trials", "grad_n_factors", "grad_seed", "verify_trials",
+            "verify_trials_1e308", "optimize_num_directions", "optimize_seeds"])
+    def test_integral_float_at_integer_key_exit_two(self, tmp_path, capsys, command, cfg, path):
+        """An integer key takes a JSON integer only: 2.0 would be used as a
+        count (a TypeError) or hashed into other seeds than 2."""
+        cfg_path = self.write_cfg(tmp_path, cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid config at {path}: " in err and "is not of type 'integer'" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "set"])
     def test_blas_threads_of_a_run(self, tmp_path, monkeypatch, variable):

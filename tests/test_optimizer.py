@@ -17,6 +17,7 @@ from dfoline import (
     StallError,
     armijo_holds,
     backtracking_step,
+    core,
     directions,
     eta,
     get_function,
@@ -387,11 +388,11 @@ class TestDirectionBlocks:
     time; the trace must be the one a draw per iteration gives, byte for byte."""
 
     @staticmethod
-    def trace_bytes(tmp_path, budget):
+    def trace_bytes(tmp_path, budget, kind="liod", stepper=LineSearchConfig(eps_f=1.0e-6)):
         fn = quadratic(10, 1.0, 10.0)
         trace = minimize(fn.oracle(NoiseModel("uniform", 1.0e-6, seed=3)), np.ones(10),
-                         EstimatorConfig(kind="liod", sigma=1.0e-4),
-                         LineSearchConfig(eps_f=1.0e-6), budget, RngStream(8, 1))
+                         EstimatorConfig(kind=kind, sigma=1.0e-4), stepper, budget,
+                         RngStream(8, 1))
         path = tmp_path / "trace.csv"
         write_csv(path, TRACE_COLUMNS, [vars(r) for r in trace.records], "")
         return trace, path.read_bytes() + b"".join(r.x.tobytes() for r in trace.records)
@@ -410,3 +411,16 @@ class TestDirectionBlocks:
             assert trace.iterations % block
             monkeypatch.setattr(directions, "ORTHONORMAL_BLOCK", block)
             assert self.trace_bytes(tmp_path, 300)[1] == alone
+
+    @pytest.mark.parametrize("kind, stepper, budget", [
+        ("liod", LineSearchConfig(eps_f=1.0e-6), 4000),
+        ("gsg", FixedStepConfig(alpha=0.02), 3500),
+    ], ids=["liod_line_search", "gsg_fixed"])
+    def test_seed_blocks_give_the_trace_of_one_stream_per_set(
+            self, tmp_path, monkeypatch, kind, stepper, budget):
+        """Child streams are seeded core.SEED_BLOCK at a time; a run past the
+        first block has the bytes of one stream seeded per iteration."""
+        trace, blocked = self.trace_bytes(tmp_path, budget, kind, stepper)
+        assert trace.iterations > core.SEED_BLOCK
+        monkeypatch.setattr(core, "SEED_BLOCK", 1)
+        assert self.trace_bytes(tmp_path, budget, kind, stepper)[1] == blocked

@@ -7,6 +7,7 @@ import pytest
 
 from dfoline import (
     NoiseModel,
+    RngStream,
     TestFunction,
     corpus,
     get_function,
@@ -136,6 +137,29 @@ class TestCorpus:
         for name, fn in corpus().items():
             assert fn.constants.L is not None and fn.constants.L > 0, name
             assert fn.constants.L_f is not None and fn.constants.L_f > 0, name
+
+
+def central_fd(value, x: np.ndarray) -> np.ndarray:
+    h = 1.0e-5 * np.maximum(1.0, np.abs(x))
+    E = np.diag(h)
+    vals = value(np.vstack([x + E, x - E]))
+    return (vals[: x.size] - vals[x.size:]) / (2.0 * h)
+
+
+@pytest.mark.parametrize("fn", [
+    *corpus().values(),
+    synthetic_sin(2, 1.0, 2.0), synthetic_sin(6, 3.0, 10.0),
+    quadratic(1, 1.0, 1.0), quadratic(7, 0.5, 20.0),
+    rosenbrock(2), rosenbrock(5),
+], ids=lambda fn: fn.name)
+def test_gradient_matches_central_differences(fn):
+    """Each analytic gradient agrees with central differences at 100 points
+    of [-2, 2]^n, to 1e-6 max(1, ||g||)."""
+    X = RngStream(731, 1).generator().uniform(-2.0, 2.0, size=(100, fn.n))
+    for x in X:
+        g = np.asarray(fn.gradient(x), dtype=float)
+        err = np.linalg.norm(g - central_fd(fn.value, x))
+        assert err <= 1.0e-6 * max(1.0, float(np.linalg.norm(g))), (fn.name, x)
 
 
 class TestOracleBridge:

@@ -1,9 +1,10 @@
-"""Experiment configuration: JSON documents validated against strict schemas.
+"""Experiment configuration: JSON documents checked against strict schemas.
 
-Each config fact lives in one place.  The schema holds every key, its JSON
-type or enum, which keys are required, and each top-level default (its
-``"default"``, filled in by :func:`with_defaults`).  The estimator, stepper
-and noise sections are derived from the fields of their dataclasses
+Each schema is a JSON Schema dict that one small walker checks, keyword by
+keyword.  Each config fact lives in one place.  The schema holds every key,
+its JSON type or enum, which keys are required, and each top-level default
+(its ``"default"``, filled in by :func:`with_defaults`).  The estimator,
+stepper and noise sections are derived from the fields of their dataclasses
 (:class:`~dfoline.optimizer.EstimatorConfig`, the stepper classes,
 :class:`~dfoline.core.NoiseModel`), which alone check those sections' value
 ranges when a runner builds them, before the first task.  Top-level ranges
@@ -23,8 +24,7 @@ import functools
 import hashlib
 import json
 import math
-
-import jsonschema
+import re
 
 from ..core import NOISE_KINDS, NoiseModel
 from ..estimators import ESTIMATORS
@@ -127,12 +127,53 @@ def _schemas() -> dict:
     }
 
 
-# A count or seed is a JSON integer: jsonschema's "integer" also admits 2.0 and 1.7e308.
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
-)
+#: Each JSON type's Python types.  A bool is neither a number nor an integer, and
+#: an integer is an int: 2.0 would be used as a count or hashed into other seeds.
+_PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+             "number": (int, float), "integer": int}
+#: Each keyword the schemas use, with the JSON type of the values it checks
+#: (None: all), as in JSON Schema.  Any other keyword is a KeyError, not a skip.
+_KEYWORDS = {"type": None, "const": None, "enum": None, "anyOf": None, "default": None,
+             "minimum": "number", "exclusiveMinimum": "number", "exclusiveMaximum": "number",
+             "minLength": "string", "pattern": "string", "minItems": "array", "items": "array",
+             "required": "object", "additionalProperties": "object", "properties": "object"}
+
+
+def _is(value, kind: str) -> bool:
+    return isinstance(value, _PY_TYPES[kind]) and (kind == "boolean" or not isinstance(value, bool))
+
+
+def _errors(value, schema: dict, path: str):
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``;
+    ``path`` is ``/key/index/...``.  ``additionalProperties`` is always false."""
+    for key, arg in schema.items():
+        if _KEYWORDS[key] and not _is(value, _KEYWORDS[key]):
+            continue
+        if key == "type" and not _is(value, arg):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "const" and value != arg:
+            yield path, f"{arg!r} was expected"
+        elif key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "anyOf" and all(next(_errors(value, s, path), None) for s in arg):
+            yield path, f"{value!r} is not valid under any of the given schemas"
+        elif (key == "minimum" and value < arg or key == "exclusiveMinimum" and value <= arg
+              or key == "exclusiveMaximum" and value >= arg):
+            yield path, f"{value!r} is out of range ({key} {arg!r})"
+        elif key in ("minLength", "minItems") and len(value) < arg:
+            yield path, f"{value!r} is shorter than {arg}"
+        elif key == "pattern" and not re.search(arg, value):
+            yield path, f"{value!r} does not match {arg!r}"
+        elif key == "items":
+            for i, item in enumerate(value):
+                yield from _errors(item, arg, f"{path}/{i}")
+        elif key == "required":
+            yield from ((path, f"{k!r} is a required property") for k in arg if k not in value)
+        elif key == "additionalProperties":
+            yield from ((path, f"unknown key {k!r}") for k in value if k not in schema["properties"])
+        elif key == "properties":
+            for k in filter(value.__contains__, arg):
+                yield from _errors(value[k], arg[k], f"{path}/{k}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -141,15 +182,12 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("experiment")
     schemas = _schemas()
-    if kind not in schemas:
+    if not isinstance(kind, str) or kind not in schemas:
         raise ConfigError(
             f"config needs \"experiment\" set to one of {list(schemas)}, got {kind!r}"
         )
-    try:
-        jsonschema.validate(cfg, schemas[kind], cls=_VALIDATOR)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"invalid config at {path}: {exc.message}") from exc
+    for path, message in _errors(cfg, schemas[kind], ""):
+        raise ConfigError(f"invalid config at {path[1:] or '(top level)'}: {message}")
     return cfg
 
 

@@ -1,6 +1,8 @@
 """Oracle boundary: noise kinds, evaluation accounting, seeded streams."""
 
+import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -97,6 +99,26 @@ class TestChildGenerators:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
         assert out.stdout.strip() == "False"
+
+    def test_cli_needs_no_jsonschema(self, tmp_path):
+        """Configs are checked by the library's own schema walker: the CLI
+        does not import jsonschema, and configs load with it blocked."""
+        trials = tmp_path / "trials.json"
+        trials.write_text(json.dumps({"experiment": "grad_accuracy", "functions": ["quad_n5"],
+                                      "estimators": ["gsg"], "sigmas": [0.1], "trials": 2.0}))
+        code = ("import sys, dfoline.harness.cli\n"
+                "assert 'jsonschema' not in sys.modules\n"
+                "sys.modules['jsonschema'] = None\n"
+                "from dfoline.harness.config import ConfigError, load_config\n"
+                "for path in sys.argv[2:]: load_config(path)\n"
+                "try: load_config(sys.argv[1])\n"
+                "except ConfigError as exc: print(exc)\n")
+        configs = sorted(pathlib.Path(__file__).resolve().parents[1].glob("perfbench/configs/*.json"))
+        assert len(configs) == 3
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code, str(trials), *map(str, configs)],
+                             capture_output=True, text=True, check=True, env=env)
+        assert out.stdout == "invalid config at trials: 2.0 is not of type 'integer'\n"
 
 
 class TestNoiseModel:

@@ -1,10 +1,12 @@
 """Experiment harness: configs, CSV persistence, runners, and the CLI."""
 
+import copy
 import csv
 import json
 import math
 import os
 import pathlib
+import random
 import re
 import warnings
 
@@ -13,7 +15,7 @@ import pytest
 
 from dfoline import EvaluationError, NoiseModel, RngStream, get_function, interpolation_error
 from dfoline.estimators import estimate
-from dfoline.harness import cli
+from dfoline.harness import cli, config
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
 from dfoline.harness.csvio import record_seed, write_csv
@@ -136,6 +138,69 @@ class TestCsvRoundTrip:
         assert raw.startswith(b"# config_sha256=abc123\n")
 
 
+def subschemas(schema):
+    """``schema`` and every schema nested in it, depth first."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(), *schema.get("anyOf", [])]
+    for sub in nested + ([schema["items"]] if "items" in schema else []):
+        yield from subschemas(sub)
+
+
+#: For each keyword the walker checks: a schema using it, a value that breaks
+#: it, and a value it lets through, of another JSON type where the keyword
+#: checks values of one type only.
+KEYWORD_CASES = {
+    "type": ({"type": "integer"}, 2.0, 2),
+    "const": ({"const": "a"}, "b", "a"),
+    "enum": ({"enum": ["a"]}, "b", "a"),
+    "anyOf": ({"anyOf": [{"type": "string"}, {"enum": [1]}]}, 2, 1),
+    "minimum": ({"minimum": 1}, 0.5, True),
+    "exclusiveMinimum": ({"exclusiveMinimum": 0}, 0, False),
+    "exclusiveMaximum": ({"exclusiveMaximum": 1}, 1.0, "2"),
+    "minLength": ({"minLength": 1}, "", []),
+    "pattern": ({"pattern": "^a$"}, "ab", 1),
+    "minItems": ({"minItems": 1}, [], ""),
+    "items": ({"items": {"type": "string"}}, ["a", 1], {"0": 1}),
+    "required": ({"required": ["a"]}, {"b": 1}, ["b"]),
+    "additionalProperties": ({"additionalProperties": False, "properties": {}}, {"a": 1}, ["a"]),
+    "properties": ({"properties": {"a": {"type": "string"}}}, {"a": 1}, [1]),
+}
+
+
+def integral_floats_as_ints(value):
+    """A copy of a parsed config with each float that is a whole number made an int."""
+    if isinstance(value, dict):
+        return {k: integral_floats_as_ints(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [integral_floats_as_ints(v) for v in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def mutate(rng: random.Random, cfg, pool: list, keys: list):
+    """``cfg`` after one random edit of a random object or array in it: an
+    int made the same float, a value replaced by one from ``pool``, an entry
+    dropped, or an entry added (a key from ``keys`` with a value from
+    ``pool`` in an object, a value from ``pool`` in an array)."""
+    nodes = [cfg]
+    for node in nodes:
+        nodes.extend(v for v in (node.values() if isinstance(node, dict) else node)
+                     if isinstance(v, (dict, list)))
+    node = rng.choice(nodes)
+    index = list(node) if isinstance(node, dict) else range(len(node))
+    edit = rng.choice(["float", "replace", "drop", "add"] if index else ["add"])
+    if edit in ("float", "replace"):
+        k = rng.choice(index)
+        node[k] = (float(node[k]) if edit == "float" and isinstance(node[k], int)
+                   else copy.deepcopy(rng.choice(pool)))
+    elif edit == "drop":
+        del node[rng.choice(index)]
+    elif isinstance(node, dict):
+        node[rng.choice(keys)] = copy.deepcopy(rng.choice(pool))
+    else:
+        node.append(copy.deepcopy(rng.choice(pool)))
+    return cfg
+
+
 class TestConfigValidation:
     def test_valid_passes_through(self):
         cfg = grad_cfg()
@@ -206,6 +271,60 @@ class TestConfigValidation:
         path = tmp_path / "cfg.json"
         path.write_text(README_CONFIGS[index])
         assert load_config(str(path))["experiment"]
+
+    def test_every_schema_keyword_is_checked(self):
+        """A keyword the walker does not know would be a KeyError only for
+        configs that reach it; a schema edit that adds one fails here."""
+        for schema in config._schemas().values():
+            for sub in subschemas(schema):
+                assert set(sub) <= set(config._KEYWORDS), sub
+                assert sub.get("type", "string") in config._PY_TYPES
+                assert sub.get("additionalProperties", False) is False
+        assert set(config._KEYWORDS) == set(KEYWORD_CASES) | {"default"}
+
+    @pytest.mark.parametrize("keyword", KEYWORD_CASES)
+    def test_walker_keyword(self, keyword):
+        """Each keyword rejects a value that breaks it and checks only values
+        of its own JSON type; a bool is not a number."""
+        schema, breaks, passes = KEYWORD_CASES[keyword]
+        assert next(config._errors(breaks, schema, ""), None)
+        assert next(config._errors(passes, schema, ""), None) is None
+
+    def test_walker_agrees_with_jsonschema(self):
+        """On seeded mutations of the benchmark, README and default verify
+        configs, the walker accepts exactly what jsonschema's Draft 2020-12
+        validator accepts, except an integral float at an integer key, which
+        only the walker rejects."""
+        jsonschema = pytest.importorskip("jsonschema")
+        schemas = config._schemas()
+        reference = {kind: jsonschema.Draft202012Validator(schema)
+                     for kind, schema in schemas.items()}
+        bases = [json.loads(p.read_text())
+                 for p in sorted((REPO / "perfbench" / "configs").glob("*.json"))]
+        bases += [json.loads(text) for text in README_CONFIGS]
+        bases.append(config.with_defaults({"experiment": "verify_bounds"}))
+        subs = [sub for schema in schemas.values() for sub in subschemas(schema)]
+        keys = sorted({k for sub in subs for k in sub.get("properties", {})}) + ["plot_style"]
+        words = sorted({w for sub in subs for w in [*sub.get("enum", []), sub.get("const", "")]})
+        pool = [None, True, False, 0, 1, -1, 3, 10000, 2**63, 0.0, 2.0, 0.5, -0.5, 10.0,
+                1e-308, 5e-324, 1.7e308, -1.7e308, "", "m 1", *words,
+                [], [1], [2.0], [0.1], ["gsg"], {}, {"kind": "none"}]
+        rng = random.Random(12)
+        counts = {"both valid": 0, "both invalid": 0, "integral float": 0}
+        for trial in range(3000):
+            base = bases[trial % len(bases)]
+            cfg = json.loads(json.dumps(base))
+            for _ in range(rng.randint(1, 2)):
+                cfg = mutate(rng, cfg, pool, keys)
+            schema = schemas[base["experiment"]]
+            errors = list(config._errors(cfg, schema, ""))
+            if reference[base["experiment"]].is_valid(cfg) == (not errors):
+                counts["both valid" if not errors else "both invalid"] += 1
+            else:
+                assert errors and all(m.endswith("is not of type 'integer'") for _, m in errors), cfg
+                assert not list(config._errors(integral_floats_as_ints(cfg), schema, "")), cfg
+                counts["integral float"] += 1
+        assert min(counts.values()) >= 30, counts
 
     def test_config_hash_key_order_invariant(self):
         a = {"b": 1, "a": [1, 2]}
@@ -452,6 +571,13 @@ class TestCli:
         path = self.write_cfg(tmp_path, grad_cfg(estimators=["newton"]))
         assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", [["optimize"], {"a": 1}], ids=["list", "object"])
+    def test_non_string_experiment_exit_two(self, tmp_path, capsys, kind):
+        path = self.write_cfg(tmp_path, {"experiment": kind})
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and '"experiment"' in err and "Traceback" not in err
 
     @pytest.mark.parametrize("names_field, method, budget", [
         ("budget 5", {"estimator": {"kind": "liod"}, "stepper": {"type": "line_search"}}, 5),

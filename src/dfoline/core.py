@@ -10,7 +10,7 @@ distributional assumption.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,7 @@ NOISE_KINDS = ("none", "uniform", "sinusoidal", "adversarial_sign")
 #: oscillation is effectively non-smooth at the sampling radii exercised here.
 DEFAULT_SINUSOID_OMEGA = 1.0e3
 
-#: Child streams whose seeds :meth:`RngStream.child_generators` derives at once.
+#: Streams whose seeds :func:`generators` hashes at once.
 SEED_BLOCK = 256
 
 # the constants of numpy's SeedSequence hash (NEP 19), on 32-bit words
@@ -29,38 +29,73 @@ _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 
 
-def _hash(value, const: int, mult: int):
-    """One hash step on ``value`` (uint64 entries below 2**32), and the next constant."""
-    const_next = const * mult & _MASK
-    value = (value ^ const) * const_next & _MASK
-    return value ^ value >> 16, const_next
+def _consts(const: int, mult: int, steps: int) -> np.ndarray:
+    """The constants of ``steps`` hash steps from ``const``, as a uint32
+    column: step i xors entry i and multiplies by entry i + 1."""
+    consts = itertools.accumulate([mult] * steps, lambda c, m: c * m & _MASK, initial=const)
+    return np.array(list(consts), dtype=np.uint32)[:, None]
 
 
-def _child_seeds(pool: list, const: int, start: int, stop: int) -> np.ndarray:
-    """The (stop - start, 4) uint64 PCG64 seeds of children start..stop-1: each
-    index, the last entropy word, mixed into the parent's pool, then hashed out."""
-    pool, index = list(pool), np.arange(start, stop, dtype=np.uint64)
-    for dst in range(4):
-        h, const = _hash(index, const, _MULT_A)
-        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * h) & _MASK
-        pool[dst] = mixed ^ mixed >> 16
-    state, const = [], _INIT_B
-    for i in range(8):
-        word, const = _hash(pool[i % 4], const, _MULT_B)
-        state.append(word)
-    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """The hash steps of ``consts`` on the uint32 ``value``, one per row but
+    the last, broadcast against the value's leading axis."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """The (m, 4) uint64 PCG64 seeds of m columns (w >= 4, m) of uint32
+    entropy words, in numpy's wrapping uint32 arithmetic: the first 4 words
+    hashed into the pool, each pool word then mixed into the other three,
+    each later word into all four, and the pool hashed out."""
+    consts, step = _consts(_INIT_A, _MULT_A, 4 * len(entropy)), 4
+    pool = _hash(entropy[:4], consts[:5])
+    pairs = [(pool, src, [i for i in range(4) if i != src]) for src in range(4)]
+    pairs += [(entropy, src, [0, 1, 2, 3]) for src in range(4, len(entropy))]
+    for words, src, dst in pairs:
+        h = _hash(words[src], consts[step:step + len(dst) + 1])
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * h
+        pool[dst], step = mixed ^ mixed >> 16, step + len(dst)
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _consts(_INIT_B, _MULT_B, 8))
+    lo, hi = state[0::2].astype(np.uint64), state[1::2].astype(np.uint64)
+    return np.ascontiguousarray((lo | hi << 32).T)  # PCG64 reads each row's memory
 
 
 class _SeedWords:
-    """A child's four PCG64 seed words, standing in for its SeedSequence."""
+    """A stream's four PCG64 seed words, standing in for its SeedSequence,
+    and the stream, named as a SeedSequence names it."""
 
-    def __init__(self, words: np.ndarray):
+    def __init__(self, words: np.ndarray, stream: RngStream):
         self.words = words
+        self.entropy, self.spawn_key = stream.seed, (stream.stream_id, *stream.path)
 
     def generate_state(self, n_words, dtype):
         if (n_words, dtype) != (4, np.uint64):  # PCG64's one request
             raise ValueError("holds PCG64's four uint64 seed words only")
         return self.words
+
+
+def generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
+    """``s.generator()`` for each s in ``streams``, with the same bits.  The
+    seeds of SEED_BLOCK streams are hashed at once when each seed is below
+    2**128 (4 words, as numpy pads it) and each key entry below 2**32, with
+    as many entries as the block's first; numpy seeds any other stream, and
+    raises on a negative entry.  Each generator is built as it is yielded."""
+    from numpy.random.bit_generator import ISeedSequence  # not at import
+
+    ISeedSequence.register(_SeedWords)
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
+    streams = iter(streams)
+    while block := list(itertools.islice(streams, SEED_BLOCK)):
+        # a seed below 2**128 is its 4 words, each key entry below 2**32 one
+        rows = [(s.seed & _MASK, s.seed >> 32 & _MASK, s.seed >> 64 & _MASK, s.seed >> 96,
+                 s.stream_id, *s.path) for s in block]
+        hashed = [len(row) == len(rows[0]) and 0 <= min(row) and max(row) <= _MASK
+                  for row in rows]
+        entropy = [row for row, h in zip(rows, hashed) if h]
+        words = iter(_seed_words(np.array(entropy, dtype=np.uint32).T) if entropy else ())
+        for s, h in zip(block, hashed):
+            yield Generator(PCG64(_SeedWords(next(words), s))) if h else s.generator()
 
 
 class DFOError(Exception):
@@ -86,8 +121,8 @@ class RngStream:
     Identical ``(seed, stream_id)`` always yields the identical draw sequence;
     distinct ids give streams that are independent by construction
     (``SeedSequence`` spawn keys).  The generator algorithm is pinned to PCG64
-    so sequences are byte-identical across platforms.  Child streams come in
-    blocks (:meth:`child_generators`), each with the bits numpy gives it alone.
+    so sequences are byte-identical across platforms.  :func:`generators`
+    seeds many streams at once, each with the bits numpy gives it alone.
     """
 
     seed: int
@@ -102,32 +137,6 @@ class RngStream:
     def child(self, index: int) -> "RngStream":
         """Derive the ``index``-th sub-stream (independent of this one)."""
         return RngStream(self.seed, self.stream_id, (*self.path, index))
-
-    def child_generators(self, start: int = 0) -> Iterator[np.random.Generator]:
-        """``self.child(k).generator()`` for k = start, start + 1, ..., with the
-        same bits.  Children differ only in their last entropy word, so the
-        pool before it is numpy's, and SEED_BLOCK seeds are hashed from it at
-        once; each generator is built as it is yielded.  Past 2**32 a child's
-        index has two words, and numpy seeds the child."""
-        from numpy.random.bit_generator import ISeedSequence  # not at import
-
-        if start < 0:
-            raise ValueError(f"expected non-negative integer, got {start}")
-        ISeedSequence.register(_SeedWords)
-        Generator, PCG64 = np.random.Generator, np.random.PCG64
-        key = (self.stream_id, *self.path)
-        pool = [int(w) for w in np.random.SeedSequence(self.seed, spawn_key=key).pool]
-        # 4 hash steps per entropy word: the seed's, padded to 4, then the key's
-        n_words = [max(1, (int(v).bit_length() + 31) // 32) for v in (self.seed, *key)]
-        steps = 4 * (max(4, n_words[0]) + sum(n_words[1:]))
-        const = _INIT_A * pow(_MULT_A, steps, 2**32) & _MASK
-        k = start
-        while k < 2**32:
-            for words in _child_seeds(pool, const, k, min(k + SEED_BLOCK, 2**32)):
-                yield Generator(PCG64(_SeedWords(words)))
-                k += 1
-        for k in itertools.count(k):
-            yield self.child(k).generator()
 
 
 @dataclass(frozen=True)
@@ -180,6 +189,9 @@ class Oracle:
     :attr:`phi` and :attr:`grad_phi` for instrumentation only -- reading them
     never touches the evaluation counter.  A ``vectorized`` phi maps an
     (m, n) batch to m values; any other shape is a ValueError.
+    ``noise_rng``, when given, is a fresh ``RngStream(noise.seed, 0).generator()``
+    built elsewhere (say by :func:`generators`); any generator but a PCG64
+    whose seed sequence names that stream is a ValueError.
     """
 
     def __init__(
@@ -191,6 +203,7 @@ class Oracle:
         grad_phi=None,
         vectorized: bool = False,
         name: str = "",
+        noise_rng: np.random.Generator | None = None,
     ):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
@@ -204,11 +217,16 @@ class Oracle:
         # One stochastic draw per evaluation, in query order.  Batch draws of
         # size k consume the stream exactly like k scalar draws, so batched
         # and sequential evaluation of the same query sequence are bit-identical.
-        self._noise_gen = (
-            RngStream(self.noise.seed, stream_id=0).generator()
-            if self.noise.kind in ("uniform", "adversarial_sign")
-            else None
-        )
+        if noise_rng is not None:
+            bits = noise_rng.bit_generator
+            names = (type(bits), getattr(bits.seed_seq, "entropy", None),
+                     getattr(bits.seed_seq, "spawn_key", ()))
+            if names != (np.random.PCG64, self.noise.seed, (0,)):
+                raise ValueError(f"noise_rng is not seeded for RngStream({self.noise.seed}, 0)")
+        self._noise_gen = None
+        if self.noise.kind in ("uniform", "adversarial_sign"):
+            self._noise_gen = (noise_rng if noise_rng is not None
+                               else RngStream(self.noise.seed, stream_id=0).generator())
 
     def _noise_values(self, X: np.ndarray) -> np.ndarray:
         kind = self.noise.kind

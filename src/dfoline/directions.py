@@ -9,17 +9,19 @@ across runs.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, generators
 
 DIRECTION_KINDS = ("coordinate", "gaussian", "orthonormal")
 
 #: Direction sets :func:`orthonormal_blocks` draws at once, with one QR.
 ORTHONORMAL_BLOCK = 16
+#: Most Gaussian floats one such block stacks: 16 sets up to n = N = 22.
+_BLOCK_FLOATS = 2**13
 
 
 @dataclass(frozen=True)
@@ -86,24 +88,26 @@ def orthonormal_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
     return DirectionSet(_haar_rows(_generator(rng).standard_normal((n, N))), "orthonormal", rng)
 
 
-def gaussian_sets(n: int, N: int, rng: RngStream) -> Iterator[DirectionSet]:
-    """``gaussian_directions(n, N, rng.child(k))`` for k = 0, 1, ..., bit for
-    bit, from the block-seeded :meth:`~dfoline.core.RngStream.child_generators`."""
+def gaussian_sets(n: int, N: int, streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
+    """``gaussian_directions(n, N, s)`` for each s in ``streams``, bit for
+    bit, from the block-seeded :func:`~dfoline.core.generators`."""
     if n < 1 or N < 1:
         raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
-    for k, gen in enumerate(rng.child_generators()):
-        yield DirectionSet(gen.standard_normal((N, n)), "gaussian", rng.child(k))
+    streams, seeded = itertools.tee(streams)
+    for stream, gen in zip(streams, generators(seeded)):
+        yield DirectionSet(gen.standard_normal((N, n)), "gaussian", stream)
 
 
-def orthonormal_blocks(n: int, N: int, rng: RngStream) -> Iterator[DirectionSet]:
-    """``orthonormal_directions(n, N, rng.child(k))`` for k = 0, 1, ..., bit
-    for bit, from the block-seeded ``rng.child_generators()``.  The draws of
-    ORTHONORMAL_BLOCK sets are stacked and share one QR call; sets of a block
-    the caller never reads are discarded."""
+def orthonormal_blocks(n: int, N: int, streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
+    """``orthonormal_directions(n, N, s)`` for each s in ``streams``, bit for
+    bit, from the block-seeded :func:`~dfoline.core.generators`.  The draws
+    of ORTHONORMAL_BLOCK sets, or of as many as fit in _BLOCK_FLOATS floats
+    (at least one), are stacked and share one QR call; sets of a block the
+    caller never reads are discarded."""
     _check_orthonormal(n, N)
-    block, gens = ORTHONORMAL_BLOCK, rng.child_generators()
-    for start in itertools.count(0, block):
-        streams = [rng.child(k) for k in range(start, start + block)]
-        rows = _haar_rows(np.stack([next(gens).standard_normal((n, N)) for _ in streams]))
-        for Q, stream in zip(rows, streams):
+    block = max(1, min(ORTHONORMAL_BLOCK, _BLOCK_FLOATS // (n * N)))
+    streams, seeded = itertools.tee(streams)
+    gens = generators(seeded)
+    while draws := [gen.standard_normal((n, N)) for gen in itertools.islice(gens, block)]:
+        for Q, stream in zip(_haar_rows(np.stack(draws)), streams):
             yield DirectionSet(Q, "orthonormal", stream)

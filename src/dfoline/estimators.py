@@ -19,8 +19,8 @@ too, since every accuracy experiment reports it.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +157,11 @@ def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) 
     return GradientEstimate(g, f0)
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||, with the bits of np.linalg.norm(v): its formula for a vector."""
+    return math.sqrt(v @ v)
+
+
 def relative_error(g, grad_true) -> float:
     """theta = ||g - grad phi(x)|| / ||grad phi(x)||.
 
@@ -165,12 +170,12 @@ def relative_error(g, grad_true) -> float:
     """
     g = np.asarray(g, dtype=float)
     grad_true = np.asarray(grad_true, dtype=float)
-    if not np.all(np.isfinite(grad_true)):
+    if not np.isfinite(grad_true).all():
         raise ValueError("true gradient contains non-finite entries")
-    denom = np.linalg.norm(grad_true)
+    denom = _norm(grad_true)
     if denom == 0.0:
         raise UndefinedMetricError("relative error undefined where the true gradient is zero")
-    return float(np.linalg.norm(g - grad_true) / denom)
+    return _norm(g - grad_true) / denom
 
 
 @dataclass(frozen=True)
@@ -212,18 +217,18 @@ def draw_directions(kind: str, n: int, N: int, stream: RngStream) -> DirectionSe
     return build(n) if spec.directions == "coordinate_directions" else build(n, N, stream)
 
 
-def direction_sets(kind: str, n: int, N: int, rng: RngStream) -> Iterator[DirectionSet]:
-    """``draw_directions(kind, n, N, rng.child(k))`` for k = 0, 1, ..., with
-    the same bits: the sets of a run's iterations.  Their streams are seeded
-    in blocks (:meth:`~dfoline.core.RngStream.child_generators`), and
-    orthonormal sets share one QR call per block
-    (:func:`~dfoline.directions.orthonormal_blocks`)."""
+def direction_sets(kind: str, n: int, N: int,
+                   streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
+    """``draw_directions(kind, n, N, s)`` for each s in ``streams``, with
+    the same bits.  The streams are seeded in blocks
+    (:func:`~dfoline.core.generators`), and orthonormal sets share one QR
+    call per block (:func:`~dfoline.directions.orthonormal_blocks`)."""
     directions = ESTIMATORS[kind].directions
     if directions == "orthonormal_directions":
-        return orthonormal_blocks(n, N, rng)
+        return orthonormal_blocks(n, N, streams)
     if directions == "gaussian_directions":
-        return gaussian_sets(n, N, rng)
-    return (draw_directions(kind, n, N, rng.child(k)) for k in itertools.count())
+        return gaussian_sets(n, N, streams)
+    return (draw_directions(kind, n, N, s) for s in streams)
 
 
 def estimate(kind: str, oracle: Oracle, x, sigma: float, N: int, stream) -> GradientEstimate:

@@ -30,8 +30,9 @@ from ..bounds import (
     interpolation_error_bound,
     moment_identity_check,
 )
-from ..core import DFOError, NoiseModel, RngStream
-from ..estimators import ESTIMATORS, UndefinedMetricError, estimate, relative_error
+from ..core import DFOError, NoiseModel, RngStream, generators
+from ..estimators import (ESTIMATORS, UndefinedMetricError, direction_sets, estimate_on,
+                          relative_error)
 from ..optimizer import STEPPERS, EstimatorConfig, backtracking_step, minimize
 from ..testfns import get_function
 from .config import ConfigError, config_hash, with_defaults
@@ -96,13 +97,17 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
             continue
         fn = fns[fname]
         N = nf * fn.n
-        for trial in range(cfg["trials"]):
-            seed = record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
-            oracle = fn.oracle(dataclasses.replace(noise, seed=seed))
+        seeds = [record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
+                 for trial in range(cfg["trials"])]
+        noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
+        points = generators(RngStream(seed, 2) for seed in seeds)
+        sets = direction_sets(est, fn.n, N, (RngStream(seed, 1) for seed in seeds))
+        for trial, seed in enumerate(seeds):
+            oracle = fn.oracle(dataclasses.replace(noise, seed=seed), next(noise_rngs))
             if cfg["eval_point"] == "origin":
                 x = np.zeros(fn.n)
             else:
-                x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
+                x = next(points).uniform(-2.0, 2.0, fn.n)
             row = {
                 "experiment_id": exp_id, "function": fname, "n": fn.n,
                 "estimator": est, "method": "", "N": N, "sigma": sigma,
@@ -110,7 +115,7 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
                 "status": "ok",
             }
             try:
-                result = estimate(est, oracle, x, sigma, N, RngStream(seed, 1))
+                result = estimate_on(est, oracle, x, sigma, next(sets))
                 theta = relative_error(result.g, fn.gradient(x))
                 row.update(theta=theta, log10_theta=math.log10(theta) if theta > 0 else None)
             except UndefinedMetricError:

@@ -15,6 +15,7 @@ error) when the oracle exposes them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .bounds import NoFeasibleSigmaError, ProblemConstants, sigma_range
 from .core import DFOError, Oracle, RngStream, as_point
-from .estimators import ESTIMATORS, direction_sets, estimate_on
+from .estimators import ESTIMATORS, _norm, direction_sets, estimate_on
 
 GRAD_NORM_TOL = 1.0e-12
 
@@ -291,11 +292,6 @@ class OptimizationTrace:
         return self.records[-1].evals if self.records else 0
 
 
-def _norm(v: np.ndarray) -> float:
-    """||v||, with the bits of np.linalg.norm(v): its formula for a vector."""
-    return math.sqrt(v @ v)
-
-
 def _instrument(oracle: Oracle, x: np.ndarray, g: np.ndarray | None):
     """(phi, ||grad phi||, theta_k) at x, using uncounted instrumentation."""
     phi = float(oracle.phi(x)) if not oracle.vectorized else float(oracle.phi(x[None, :])[0])
@@ -345,7 +341,7 @@ def minimize(
     if not isinstance(stepper, tuple(STEPPERS.values())):
         raise TypeError(f"unknown stepper config {type(stepper)!r}")
     step = stepper.start(n)
-    sets = direction_sets(estimator.kind, n, N, rng)
+    sets = direction_sets(estimator.kind, n, N, map(rng.child, itertools.count()))
 
     trace = OptimizationTrace()
     extra = 1 if isinstance(stepper, LineSearchConfig) else 0

@@ -45,8 +45,9 @@ class TestFunction:
         if self.kind not in FUNCTION_CLASSES:
             raise ValueError(f"unknown function class {self.kind!r}")
 
-    def oracle(self, noise: NoiseModel | None = None) -> Oracle:
-        """Wrap this function as a (possibly noisy) counting oracle."""
+    def oracle(self, noise: NoiseModel | None = None, noise_rng=None) -> Oracle:
+        """Wrap this function as a (possibly noisy) counting oracle; see
+        :class:`~dfoline.core.Oracle` for ``noise_rng``."""
         return Oracle(
             self.value,
             self.n,
@@ -54,6 +55,7 @@ class TestFunction:
             grad_phi=self.gradient,
             vectorized=True,
             name=self.name,
+            noise_rng=noise_rng,
         )
 
 

@@ -1,5 +1,6 @@
 """Oracle boundary: noise kinds, evaluation accounting, seeded streams."""
 
+import itertools
 import json
 import os
 import pathlib
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfoline import EvaluationError, NoiseModel, Oracle, RngStream
-from dfoline.core import DEFAULT_SINUSOID_OMEGA, SEED_BLOCK, as_point
+from dfoline import EvaluationError, NoiseModel, Oracle, RngStream, get_function
+from dfoline.core import DEFAULT_SINUSOID_OMEGA, NOISE_KINDS, SEED_BLOCK, as_point, generators
+from dfoline.harness.csvio import record_seed
 
 
 def sphere(x):
@@ -55,8 +57,8 @@ def seed_words(gen):
 
 
 class TestChildGenerators:
-    """``child_generators`` hashes the seeds of SEED_BLOCK children at once;
-    every child must get numpy's own seed words and draws."""
+    """``generators`` hashes the seeds of SEED_BLOCK streams at once; every
+    stream must get numpy's own seed words and draws."""
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1, 2**97 + 3, 2**160 + 1]),
@@ -66,7 +68,7 @@ class TestChildGenerators:
            start=st.sampled_from([0, 1, SEED_BLOCK - 3, 2**32 - SEED_BLOCK - 2]))
     def test_seed_words_are_numpys(self, seed, stream_id, path, start):
         rng = RngStream(seed, stream_id, tuple(path))
-        gens = rng.child_generators(start)
+        gens = generators(map(rng.child, itertools.count(start)))
         for k, gen in zip(range(start, start + SEED_BLOCK + 2), gens):
             expected = np.random.SeedSequence(seed, spawn_key=(stream_id, *path, k))
             assert seed_words(gen).tobytes() == expected.generate_state(4, np.uint64).tobytes()
@@ -75,13 +77,14 @@ class TestChildGenerators:
     def test_draws_equal_the_childs_own(self, k):
         rng = RngStream(2**64 - 1, 1, (5,))
         alone = rng.child(k).generator().standard_normal(9)
-        assert next(rng.child_generators(k)).standard_normal(9).tobytes() == alone.tobytes()
+        assert next(generators([rng.child(k)])).standard_normal(9).tobytes() == alone.tobytes()
 
     def test_stream_runs_on_past_two_to_the_32(self):
         """The last one-word child index and the first two-word one follow each other."""
         rng = RngStream(3, 2)
-        for k, gen in zip(range(2**32 - 2, 2**32 + 2), rng.child_generators(2**32 - 2)):
-            assert gen.random(4).tobytes() == rng.child(k).generator().random(4).tobytes()
+        children = [rng.child(k) for k in range(2**32 - 2, 2**32 + 2)]
+        for child, gen in zip(children, generators(children)):
+            assert gen.random(4).tobytes() == child.generator().random(4).tobytes()
 
     @pytest.mark.parametrize("rng, start", [
         (RngStream(-1), 0), (RngStream(0, -2), 0), (RngStream(0, 1, (4, -3)), 0),
@@ -89,7 +92,32 @@ class TestChildGenerators:
     ], ids=["seed", "stream_id", "path", "start"])
     def test_negative_entries_rejected(self, rng, start):
         with pytest.raises(ValueError, match="non-negative"):
-            next(rng.child_generators(start))
+            next(generators(map(rng.child, itertools.count(start))))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_record_streams(self, k):
+        """A sweep's streams: one per record seed, at stream id k."""
+        streams = [RngStream(record_seed(7, "exp", "sin_n10", "ligd", "0.01", 10, t), k)
+                   for t in range(SEED_BLOCK + 3)]
+        for s, gen in zip(streams, generators(streams), strict=True):
+            assert seed_words(gen).tobytes() == seed_words(s.generator()).tobytes()
+
+    def test_mixed_block(self):
+        """Key lengths other than the block's first, seeds of 2**128 and over
+        and key entries of 2**32 and over are seeded by numpy, in order."""
+        streams = [RngStream(5, 1, (2,)), RngStream(6, 1), RngStream(2**128 - 1, 0, (3,)),
+                   RngStream(2**128, 0, (3,)), RngStream(0, 2**32 - 1, (2**32,)),
+                   RngStream(0, 2**32 - 1, (2**32 - 1,)), RngStream(9, 4, (1, 2)), RngStream(0)]
+        for s, gen in zip(streams, generators(streams), strict=True):
+            assert gen.random(3).tobytes() == s.generator().random(3).tobytes()
+
+    @pytest.mark.parametrize("m", [0, SEED_BLOCK - 1, SEED_BLOCK, SEED_BLOCK + 1])
+    def test_block_edges(self, m):
+        streams = [RngStream(11 + k // 2, k % 2) for k in range(m)]
+        gens = list(generators(iter(streams)))
+        assert len(gens) == m
+        for k in {0, m - 1, SEED_BLOCK - 1, SEED_BLOCK} & set(range(m)):
+            assert seed_words(gens[k]).tobytes() == seed_words(streams[k].generator()).tobytes()
 
     def test_cli_import_leaves_numpy_random_out(self):
         """numpy.random costs about 13 ms to import; the CLI does not load it
@@ -282,6 +310,47 @@ class TestNoiseKinds:
     def test_zero_bound_is_noise_free(self):
         o = Oracle(sphere, 2, NoiseModel(kind="uniform", bound=0.0, seed=1))
         assert o.evaluate([1.0, 0.0]) == 1.0
+
+
+class TestNoiseRng:
+    """An oracle given its noise stream's generator makes the draws it makes
+    alone; a generator seeded for any other stream is refused."""
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("seeding", ["numpy", "block"])
+    def test_given_generator_gives_the_defaults_draws(self, kind, seeding):
+        noise = NoiseModel(kind, 0.5, seed=2**63 + 7, omega=3.0)
+        stream = RngStream(noise.seed, 0)
+        rng = stream.generator() if seeding == "numpy" else next(generators([stream]))
+        X = RngStream(1).generator().uniform(-2, 2, (40, 3))
+        given, alone = Oracle(sphere, 3, noise, noise_rng=rng), Oracle(sphere, 3, noise)
+        assert given.evaluate_batch(X).tobytes() == alone.evaluate_batch(X).tobytes()
+        assert [given.evaluate(x) for x in X] == [alone.evaluate(x) for x in X]
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("make", [
+        lambda s: RngStream(s, 1).generator(),
+        lambda s: RngStream(s + 1, 0).generator(),
+        lambda s: next(generators([RngStream(s, 1)])),
+        lambda s: next(generators([RngStream(s + 1, 0)])),
+        lambda s: np.random.default_rng(),
+        lambda s: np.random.Generator(np.random.MT19937(np.random.SeedSequence(s, spawn_key=(0,)))),
+    ], ids=["stream_1", "seed_plus_1", "block_stream_1", "block_seed_plus_1", "default_rng",
+            "mt19937"])
+    def test_other_generator_rejected_before_any_evaluation(self, kind, make):
+        calls = []
+        with pytest.raises(ValueError, match="noise_rng"):
+            Oracle(lambda x: calls.append(x) or 0.0, 2, NoiseModel(kind, 0.1, seed=9),
+                   noise_rng=make(9))
+        assert calls == []
+
+    def test_test_function_passes_it_on(self):
+        fn = get_function("quad_n5")
+        noise = NoiseModel("uniform", 1e-3, seed=4)
+        given = fn.oracle(noise, RngStream(4, 0).generator()).evaluate_batch(np.eye(5))
+        assert given.tobytes() == fn.oracle(noise).evaluate_batch(np.eye(5)).tobytes()
+        with pytest.raises(ValueError, match="noise_rng"):
+            fn.oracle(noise, RngStream(4, 2).generator())
 
 
 class TestWrapWithNoise:

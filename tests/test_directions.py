@@ -18,6 +18,11 @@ from dfoline import (
 )
 
 
+def children(rng: RngStream):
+    """rng.child(k) for k = 0, 1, ..., the streams of a run's iterations."""
+    return map(rng.child, itertools.count())
+
+
 class TestDirectionSetType:
     def test_count_and_dimension(self):
         ds = DirectionSet(np.ones((3, 5)), "gaussian")
@@ -140,7 +145,7 @@ class TestOrthonormalBlocks:
     def test_sets_equal_per_stream_draws_bit_for_bit(self, n):
         B = directions.ORTHONORMAL_BLOCK
         rng = RngStream(91, 1)
-        sets = list(itertools.islice(directions.orthonormal_blocks(n, n, rng), 2 * B + 2))
+        sets = list(itertools.islice(directions.orthonormal_blocks(n, n, children(rng)), 2 * B + 2))
         for k in (0, B - 1, B, 2 * B + 1):
             alone = orthonormal_directions(n, n, rng.child(k))
             assert sets[k].Q.tobytes() == alone.Q.tobytes()
@@ -150,13 +155,24 @@ class TestOrthonormalBlocks:
 
     def test_fewer_rows_than_dimension(self):
         rng = RngStream(4, 1)
-        sets = directions.orthonormal_blocks(7, 3, rng)
+        sets = directions.orthonormal_blocks(7, 3, children(rng))
         for k, ds in zip(range(3), sets):
             assert ds.Q.tobytes() == orthonormal_directions(7, 3, rng.child(k)).Q.tobytes()
 
+    @pytest.mark.parametrize("n, N, stacked", [(22, 22, 16), (23, 23, 15), (100, 10, 8),
+                                               (100, 100, 1)])
+    def test_blocks_stack_at_most_two_to_the_13_floats(self, monkeypatch, n, N, stacked):
+        """One set at n = 100 keeps a block of 100 x 100 draws out of memory."""
+        shapes, haar_rows = [], directions._haar_rows
+        monkeypatch.setattr(directions, "_haar_rows", lambda G: shapes.append(G.shape) or haar_rows(G))
+        rng = RngStream(8, 1)
+        sets = list(directions.orthonormal_blocks(n, N, [rng.child(k) for k in range(20)]))
+        assert shapes[0] == (stacked, n, N) and len(sets) == 20
+        assert sets[19].Q.tobytes() == orthonormal_directions(n, N, rng.child(19)).Q.tobytes()
+
     def test_sizes_validated(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            next(directions.orthonormal_blocks(3, 4, RngStream(0)))
+            next(directions.orthonormal_blocks(3, 4, children(RngStream(0))))
 
 
 class TestGaussianSets:
@@ -165,7 +181,7 @@ class TestGaussianSets:
 
     def test_sets_equal_per_stream_draws_bit_for_bit(self):
         rng = RngStream(91, 1, (2,))
-        sets = list(itertools.islice(directions.gaussian_sets(4, 7, rng), 300))
+        sets = list(itertools.islice(directions.gaussian_sets(4, 7, children(rng)), 300))
         for k in (0, 1, 255, 256, 299):
             alone = gaussian_directions(4, 7, rng.child(k))
             assert sets[k].Q.tobytes() == alone.Q.tobytes() and sets[k].Q.shape == (7, 4)
@@ -173,4 +189,4 @@ class TestGaussianSets:
 
     def test_sizes_validated(self):
         with pytest.raises(ValueError, match="N >= 1"):
-            next(directions.gaussian_sets(3, 0, RngStream(0)))
+            next(directions.gaussian_sets(3, 0, children(RngStream(0))))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfoline import (
     ConditioningError,
@@ -21,7 +23,7 @@ from dfoline import (
     orthonormal_directions,
     relative_error,
 )
-from dfoline.estimators import ESTIMATORS, GradientEstimate, estimate
+from dfoline.estimators import ESTIMATORS, GradientEstimate, _norm, estimate
 
 
 def linear_oracle(a, noise=None):
@@ -246,3 +248,16 @@ class TestRelativeError:
     def test_non_finite_true_gradient_rejected(self):
         with pytest.raises(ValueError):
             relative_error([1.0], [np.inf])
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(n=st.integers(1, 12), exponent=st.integers(-160, 160), data=st.data())
+    def test_norm_is_numpys_bit_for_bit(self, n, exponent, data):
+        """``_norm`` is np.linalg.norm's own formula for a vector, so theta
+        keeps its bits; a sum of squares past the float range gives inf in both."""
+        mantissas = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        v, g = np.array(mantissas) * 10.0**exponent, np.array(mantissas[::-1]) * 10.0**exponent
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert _norm(v) == np.linalg.norm(v)
+            if np.linalg.norm(v) != 0.0:
+                expected = float(np.linalg.norm(g - v) / np.linalg.norm(v))
+                assert repr(relative_error(g, v)) == repr(expected)

@@ -13,8 +13,17 @@ import warnings
 import numpy as np
 import pytest
 
-from dfoline import EvaluationError, NoiseModel, RngStream, get_function, interpolation_error
-from dfoline.estimators import estimate
+from dfoline import (
+    DFOError,
+    EvaluationError,
+    NoiseModel,
+    RngStream,
+    core,
+    directions,
+    get_function,
+    interpolation_error,
+)
+from dfoline.estimators import UndefinedMetricError, estimate, relative_error
 from dfoline.harness import cli, config
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
@@ -334,6 +343,25 @@ class TestConfigValidation:
         assert config_hash(a) != config_hash({"a": [1, 2], "b": 2})
 
 
+def own_record(row: dict, kind: str, eval_point: str) -> tuple[str, str, str]:
+    """A sweep row's theta, status and evals cells from the record's own
+    streams, one numpy seeding each: the sweep's loop body before its
+    streams were seeded in blocks."""
+    fn, seed, sigma = get_function(row["function"]), int(row["seed"]), float(row["sigma"])
+    oracle = fn.oracle(NoiseModel(kind, 1.0e-3, seed=seed))
+    x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
+    if eval_point == "origin":
+        x = np.zeros(fn.n)
+    try:
+        g = estimate(row["estimator"], oracle, x, sigma, int(row["N"]), RngStream(seed, 1)).g
+        theta, status = repr(relative_error(g, fn.gradient(x))), "ok"
+    except UndefinedMetricError:
+        theta, status = "", "skipped"
+    except DFOError:
+        theta, status = "", "failed"
+    return theta, status, str(oracle.eval_count)
+
+
 class TestGradAccuracyRunner:
     def test_record_and_summary_counts(self, tmp_path):
         res = run_gradient_accuracy(grad_cfg(), str(tmp_path))
@@ -380,6 +408,42 @@ class TestGradAccuracyRunner:
         _, rows1 = read_csv(r1["records"])
         _, rows2 = read_csv(r2["records"])
         assert [r["seed"] for r in rows1] != [r["seed"] for r in rows2]
+
+
+    @staticmethod
+    def blocks_cfg(kind: str, eval_point: str) -> dict:
+        """Every estimator, both direction-count factors, a failing sigma, and
+        300 trials, so each group's streams cross a seed block of 256."""
+        return grad_cfg(functions=["quad_n5", "sin_n10"],
+                        estimators=["gsg", "cgsg", "liod", "ligd", "fd"],
+                        sigmas=[1.0e-2, 1.7e308], trials=300, n_factors=[1, 2],
+                        noise={"kind": kind, "bound": 1.0e-3}, eval_point=eval_point, seed=4)
+
+    @pytest.mark.parametrize("kind, eval_point", [
+        ("none", "origin"), ("uniform", "random"), ("sinusoidal", "random"),
+        ("adversarial_sign", "origin"),
+    ])
+    def test_block_seeded_streams_give_each_records_own_draws(self, tmp_path, kind, eval_point):
+        """The sweep seeds its record streams in blocks, and orthonormal sets
+        share a QR per block; each row must be the one that the per-record
+        loop below gets from the record's own streams."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run_gradient_accuracy(self.blocks_cfg(kind, eval_point), str(tmp_path))
+            _, rows = read_csv(res["records"])
+            assert len(rows) == 2 * 2 * 7 * 300
+            assert {r["status"] for r in rows} >= {"ok", "failed"}
+            for row in rows:
+                assert (row["theta"], row["status"], row["evals"]) == own_record(row, kind, eval_point)
+
+    def test_blocks_of_one_write_the_same_bytes(self, tmp_path, monkeypatch):
+        """One function keeps the unblocked run, at about 0.4 ms a seed, short."""
+        cfg = {**self.blocks_cfg("uniform", "random"), "functions": ["sin_n10"]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_gradient_accuracy(cfg, str(tmp_path / "blocked"))
+            monkeypatch.setattr(core, "SEED_BLOCK", 1)
+            monkeypatch.setattr(directions, "ORTHONORMAL_BLOCK", 1)
+            run_gradient_accuracy(cfg, str(tmp_path / "one"))
+        assert read_bytes_tree(str(tmp_path / "blocked")) == read_bytes_tree(str(tmp_path / "one"))
 
 
 class TestOptimizationRunner:

@@ -5,6 +5,7 @@ a rename or removal in the library would break the benchmark, so tier-1
 installs the tracer once and checks that it counts and restores.
 """
 
+import csv
 import importlib.util
 import pathlib
 import sys
@@ -24,6 +25,7 @@ from dfoline import (
     quadratic,
 )
 from dfoline.estimators import estimate
+from dfoline.harness.runners import run_gradient_accuracy
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -93,3 +95,21 @@ def test_tracer_sees_every_evaluation_and_estimate(kind, formula, stepper):
     assert estimated > 40
     assert totals["core.Oracle.evaluate_batch.points"] == oracle.eval_count
     assert totals[f"estimators.{formula}.calls"] == estimated
+
+
+def test_tracer_sees_every_sweep_evaluation(tmp_path):
+    """The benchmark's sweep check: every evaluation the records count goes
+    through the traced ``Oracle.evaluate_batch``, failed records included
+    (at sigma 1e-310 the quotient overflows after the values are counted; a
+    batch the oracle rejects unevaluated would count rows but no evals)."""
+    cfg = {"experiment": "grad_accuracy", "functions": ["quad_n5", "sin_n10"],
+           "estimators": ["gsg", "cgsg", "liod", "ligd", "fd"], "sigmas": [1.0e-2, 1.0e-310],
+           "trials": 3, "n_factors": [1, 2], "noise": {"kind": "uniform", "bound": 0.1}}
+    tracer = load_spans().Tracer()
+    with tracer.installed(), np.errstate(over="ignore", invalid="ignore"):
+        res = run_gradient_accuracy(cfg, str(tmp_path))
+    with open(res["records"], encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert {r["status"] for r in rows} == {"ok", "failed"}
+    evals = sum(int(r["evals"]) for r in rows)
+    assert evals > 0 and tracer.totals()["core.Oracle.evaluate_batch.points"] == evals

@@ -24,6 +24,9 @@ DEFAULT_SINUSOID_OMEGA = 1.0e3
 #: Streams whose seeds :func:`generators` hashes at once.
 SEED_BLOCK = 256
 
+#: Most noise values an :class:`Oracle` draws ahead at once.
+NOISE_BLOCK = 4096
+
 # the constants of numpy's SeedSequence hash (NEP 19), on 32-bit words
 _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -191,7 +194,9 @@ class Oracle:
     (m, n) batch to m values; any other shape is a ValueError.
     ``noise_rng``, when given, is a fresh ``RngStream(noise.seed, 0).generator()``
     built elsewhere (say by :func:`generators`); any generator but a PCG64
-    whose seed sequence names that stream is a ValueError.
+    whose seed sequence names that stream is a ValueError.  Uniform and
+    adversarial_sign noise is drawn ahead, up to NOISE_BLOCK values at once,
+    with the values one draw per call gives; the oracle owns its generator.
     """
 
     def __init__(
@@ -224,6 +229,7 @@ class Oracle:
             if names != (np.random.PCG64, self.noise.seed, (0,)):
                 raise ValueError(f"noise_rng is not seeded for RngStream({self.noise.seed}, 0)")
         self._noise_gen = None
+        self._ahead, self._used, self._drawn = np.empty(0), 0, 0  # noise values drawn ahead
         if self.noise.kind in ("uniform", "adversarial_sign"):
             self._noise_gen = (noise_rng if noise_rng is not None
                                else RngStream(self.noise.seed, stream_id=0).generator())
@@ -235,11 +241,20 @@ class Oracle:
             return np.zeros(k)
         if kind == "sinusoidal":
             return self.noise.bound * np.sin(self.noise.omega * X.sum(axis=1))
-        u = self._noise_gen.random(k)
-        if kind == "uniform":
-            return self.noise.bound * (2.0 * u - 1.0)
-        # adversarial_sign
-        return np.where(u < 0.5, self.noise.bound, -self.noise.bound)
+        if self._used + k > len(self._ahead):
+            # one draw of at least k values, doubling the values drawn so far
+            # up to NOISE_BLOCK; u drawn in one call or in many has the same bits
+            u = self._noise_gen.random(max(k, min(self._drawn, NOISE_BLOCK)))
+            self._drawn += len(u)
+            if kind == "uniform":
+                drawn = self.noise.bound * (2.0 * u - 1.0)
+            else:  # adversarial_sign
+                drawn = np.where(u < 0.5, self.noise.bound, -self.noise.bound)
+            left = self._ahead[self._used:]
+            self._ahead = np.concatenate([left, drawn]) if len(left) else drawn
+            self._used = 0
+        self._used += k
+        return self._ahead[self._used - k:self._used]
 
     def _phi_values(self, X: np.ndarray) -> np.ndarray:
         if self.vectorized:

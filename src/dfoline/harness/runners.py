@@ -200,6 +200,10 @@ def _method_configs(method: dict, fname: str, fn, noise_bound: float, budget: in
         return est_cfg, STEPPERS[kind](**stepper)
 
 
+#: Most oracle evaluations one optimize run may spend; a trace keeps every iterate.
+MAX_BUDGET = 1_000_000
+
+
 def run_optimization(cfg: dict, out_dir: str) -> dict:
     """One trace file per (function, method, seed), plus a mean/min/max
     envelope per (function, method) aggregated across seeds by iteration.
@@ -213,6 +217,8 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
     fns = _functions(cfg["functions"])
     noise = _noise_model(cfg)
     budget = cfg["budget"]
+    if budget > MAX_BUDGET:
+        raise ConfigError(f"budget {budget:,} exceeds MAX_BUDGET = {MAX_BUDGET:,} evaluations")
     x0_spec = cfg["x0"]
 
     names = [m["name"] for m in cfg["methods"]]
@@ -302,10 +308,12 @@ def _check_interpolation_bound(cfg, root, noise) -> dict:
         fn = get_function(fname)
         bound = interpolation_error_bound(
             sigma, fn.n, dataclasses.replace(fn.constants, eps_f=declared))
-        for t in range(per):
-            seed = record_seed(root, "interp", fname, repr(sigma), t)
-            oracle = fn.oracle(dataclasses.replace(noise, seed=seed))
-            x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
+        seeds = [record_seed(root, "interp", fname, repr(sigma), t) for t in range(per)]
+        noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
+        points = generators(RngStream(seed, 2) for seed in seeds)
+        for seed, noise_rng, point in zip(seeds, noise_rngs, points):
+            oracle = fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng)
+            x = point.uniform(-2.0, 2.0, fn.n)
             err = interpolation_error(oracle, x, sigma, RngStream(seed, 1))
             witness = {"function": fname, "sigma": sigma, "seed": seed,
                        "error": err, "bound": bound, "declared_eps_f": declared}
@@ -385,9 +393,10 @@ def _check_armijo_guarantee(cfg, root, noise) -> dict:
     abar = alpha_bar(c, fn.constants.L)
     eta_val = eta(c, fn.constants.L)
     cases = []
-    for t in range(trials):
-        seed = record_seed(root, "armijo", t)
-        gen = RngStream(seed, 2).generator()
+    seeds = [record_seed(root, "armijo", t) for t in range(trials)]
+    noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
+    gens = generators(RngStream(seed, 2) for seed in seeds)
+    for t, (seed, noise_rng, gen) in enumerate(zip(seeds, noise_rngs, gens)):
         x = gen.uniform(-2.0, 2.0, fn.n)
         grad = fn.gradient(x)
         grad_norm = float(np.linalg.norm(grad))
@@ -397,7 +406,7 @@ def _check_armijo_guarantee(cfg, root, noise) -> dict:
         e = gen.standard_normal(fn.n)
         e *= theta * grad_norm * gen.random() / np.linalg.norm(e)
         g = grad + e
-        oracle = fn.oracle(dataclasses.replace(noise, seed=seed))
+        oracle = fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng)
         # any step at or below alpha_bar must pass the relaxed test
         alpha = abar * gen.random()
         f_curr = oracle.evaluate(x)

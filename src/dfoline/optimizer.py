@@ -292,17 +292,28 @@ class OptimizationTrace:
         return self.records[-1].evals if self.records else 0
 
 
-def _instrument(oracle: Oracle, x: np.ndarray, g: np.ndarray | None):
-    """(phi, ||grad phi||, theta_k) at x, using uncounted instrumentation."""
-    phi = float(oracle.phi(x)) if not oracle.vectorized else float(oracle.phi(x[None, :])[0])
-    grad_norm = math.nan
-    theta_k = math.nan
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """v @ v for each row v of A, with its bits: a stacked matmul of each
+    row with itself takes the path of a 1-d dot (einsum does not)."""
+    return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
+
+
+def _instrument(oracle: Oracle, xs: list, gs: list) -> tuple[list, list, list]:
+    """(phi, ||grad phi||, theta_k) at each iterate xs[i], whose estimate is
+    gs[i] or None, using uncounted instrumentation.  A vectorized phi gets
+    one C-ordered stack, whose rows it must treat as it treats one row."""
+    if oracle.vectorized:
+        phis = np.asarray(oracle.phi(np.array(xs)), dtype=float).tolist()
+    else:
+        phis = [float(oracle.phi(x)) for x in xs]
+    grad_norms = thetas = [math.nan] * len(xs)
     if oracle.grad_phi is not None:
-        grad = np.asarray(oracle.grad_phi(x), dtype=float)
-        grad_norm = _norm(grad)
-        if g is not None and grad_norm > 0:
-            theta_k = _norm(g - grad) / grad_norm
-    return phi, grad_norm, theta_k
+        grads = np.array([np.asarray(oracle.grad_phi(x), dtype=float) for x in xs])
+        grad_norms = np.sqrt(_sq_norms(grads)).tolist()
+        G = np.array([np.full(oracle.dimension, math.nan) if g is None else g for g in gs])
+        errors = np.sqrt(_sq_norms(G - grads)).tolist()
+        thetas = [e / gn if gn > 0 else math.nan for e, gn in zip(errors, grad_norms)]
+    return phis, grad_norms, thetas
 
 
 def minimize(
@@ -343,28 +354,18 @@ def minimize(
     step = stepper.start(n)
     sets = direction_sets(estimator.kind, n, N, map(rng.child, itertools.count()))
 
-    trace = OptimizationTrace()
     extra = 1 if isinstance(stepper, LineSearchConfig) else 0
     extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart
-    k = 0
+    rows = []  # (x, f, g, ||g||, alpha, evals, status) per iterate, instrumented at the end
 
-    def end(status: str, detail: str = "", measured=None) -> OptimizationTrace:
-        """Append the last record, with this iterate's (f, phi, ||grad phi||,
-        ||g||, theta) when they were measured, and close the trace."""
-        if measured is None:
-            phi, grad_norm, _ = _instrument(oracle, x, None)
-            measured = (math.nan, phi, grad_norm, math.nan, math.nan)
-        f, phi, grad_norm, g_norm, theta_k = measured
-        trace.records.append(IterationRecord(
-            k, x, f, phi, grad_norm, g_norm, math.nan, theta_k, oracle.eval_count, status,
-        ))
-        trace.status, trace.detail = status, detail
-        return trace
-
-    try:
+    def iterate():
+        """Run the loop, appending each iterate but the last to ``rows``;
+        return the status, the detail and the last iterate's (f, g, ||g||)
+        when they were measured."""
+        nonlocal x
         while True:
             if oracle.eval_count + est_cost + extra > budget:
-                return end("budget_exhausted")
+                return "budget_exhausted", "", None
 
             sigma = estimator.sigma
             if estimator.adaptive:
@@ -372,37 +373,44 @@ def minimize(
                 try:
                     lo, hi = sigma_range(estimator.theta, grad_norm_here, n, estimator.constants)
                 except NoFeasibleSigmaError as exc:
-                    return end("noise_floor", str(exc))
+                    return "noise_floor", str(exc), None
                 sigma = 0.5 * (lo + hi)
                 if sigma <= 0:
-                    return end("noise_floor", "accuracy window collapsed to zero radius")
+                    return "noise_floor", "accuracy window collapsed to zero radius", None
 
             est = estimate_on(estimator.kind, oracle, x, sigma, next(sets))
             f_k = est.f_center if est.f_center is not None else oracle.evaluate(x)
             g = est.g
             g_norm = _norm(g)
-            phi_k, grad_norm_k, theta_k = _instrument(oracle, x, g)
-            measured = (f_k, phi_k, grad_norm_k, g_norm, theta_k)
+            measured = (f_k, g, g_norm)
 
             if g_norm <= GRAD_NORM_TOL:
                 resolution = float(np.spacing(abs(f_k))) / sigma
                 if resolution <= GRAD_NORM_TOL:
-                    return end("converged", measured=measured)
-                return end("failed", (
+                    return "converged", "", measured
+                return "failed", (
                     f"sampling radius sigma={sigma:.3e} is lost to rounding at "
                     f"||x||={np.linalg.norm(x):.3e}, f={f_k:.3e}: the estimate "
                     f"vanished but cannot resolve a gradient below {resolution:.3e}"
-                ), measured)
+                ), measured
 
             try:
                 x_next, alpha = step(oracle, x, g, f_k, budget - oracle.eval_count)
             except StallError as exc:
                 status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
-                return end(status, str(exc), measured)
+                return status, str(exc), measured
 
-            trace.records.append(IterationRecord(
-                k, x, f_k, phi_k, grad_norm_k, g_norm, alpha, theta_k, oracle.eval_count))
+            rows.append((x, f_k, g, g_norm, alpha, oracle.eval_count, "ok"))
             x = x_next
-            k += 1
+
+    try:
+        status, detail, measured = iterate()
     except DFOError as exc:
-        return end("failed", str(exc))
+        status, detail, measured = "failed", str(exc), None
+    f, g, g_norm = measured or (math.nan, None, math.nan)
+    rows.append((x, f, g, g_norm, math.nan, oracle.eval_count, status))
+    xs, fs, gs, g_norms, alphas, evals, statuses = zip(*rows)
+    phis, grad_norms, thetas = _instrument(oracle, xs, gs)
+    records = [IterationRecord(k, *row) for k, row in enumerate(zip(
+        xs, fs, phis, grad_norms, g_norms, alphas, thetas, evals, statuses))]
+    return OptimizationTrace(records, status, detail)

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfoline import EvaluationError, NoiseModel, Oracle, RngStream, get_function
-from dfoline.core import DEFAULT_SINUSOID_OMEGA, NOISE_KINDS, SEED_BLOCK, as_point, generators
+from dfoline.core import (DEFAULT_SINUSOID_OMEGA, NOISE_BLOCK, NOISE_KINDS, SEED_BLOCK, as_point,
+                          generators)
 from dfoline.harness.csvio import record_seed
 
 
@@ -351,6 +352,48 @@ class TestNoiseRng:
         assert given.tobytes() == fn.oracle(noise).evaluate_batch(np.eye(5)).tobytes()
         with pytest.raises(ValueError, match="noise_rng"):
             fn.oracle(noise, RngStream(4, 2).generator())
+
+
+class TestNoiseDrawnAhead:
+    """Stochastic noise is drawn ahead, up to NOISE_BLOCK values at once; each
+    call's values are still those of one draw per call from a fresh stream."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(kind=st.sampled_from(["uniform", "adversarial_sign"]),
+           seed=st.integers(0, 2**64 - 1), given_rng=st.booleans(),
+           sizes=st.lists(st.integers(0, 300), min_size=1, max_size=60))
+    def test_values_are_per_call_draws(self, kind, seed, given_rng, sizes):
+        noise = NoiseModel(kind, 0.25, seed=seed)
+        stream = RngStream(seed, 0)
+        oracle = Oracle(lambda X: np.zeros(len(X)), 2, noise, vectorized=True,
+                        noise_rng=next(generators([stream])) if given_rng else None)
+        fresh = stream.generator()
+        for k in sizes:
+            u = fresh.random(k)
+            want = 0.25 * (2.0 * u - 1.0) if kind == "uniform" else np.where(u < 0.5, 0.25, -0.25)
+            assert oracle.evaluate_batch(np.zeros((k, 2))).tobytes() == (0.0 + want).tobytes()
+        assert oracle.eval_count == sum(sizes)
+
+    def test_sizes_crossing_the_block(self):
+        """Runs of sizes past NOISE_BLOCK, a single oversized call, and empty
+        calls give the per-call values; the first two calls draw 1, then N."""
+        sizes = [1, 11] + [300] * 20 + [0, 2 * NOISE_BLOCK + 1, 0, 7] + [299] * 20
+        assert sum(sizes) > 3 * NOISE_BLOCK
+        noise = NoiseModel("uniform", 1.0, seed=3)
+        oracle, fresh = Oracle(sphere, 1, noise), RngStream(3, 0).generator()
+        drawn, real = [], oracle._noise_gen
+
+        class Spy:
+            def random(self, k):
+                drawn.append(k)
+                return real.random(k)
+
+        oracle._noise_gen = Spy()
+        for k in sizes:
+            want = 2.0 * fresh.random(k) - 1.0
+            assert oracle.evaluate_batch(np.zeros((k, 1))).tobytes() == (0.0 + want).tobytes()
+        assert drawn[:2] == [1, 11] and max(drawn) == 2 * NOISE_BLOCK + 1
+        assert all(k <= NOISE_BLOCK for k in drawn if k != 2 * NOISE_BLOCK + 1)
 
 
 class TestWrapWithNoise:

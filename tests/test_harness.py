@@ -28,7 +28,9 @@ from dfoline.harness import cli, config
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
 from dfoline.harness.csvio import record_seed, write_csv
+from dfoline.harness import runners
 from dfoline.harness.runners import (
+    MAX_BUDGET,
     MAX_SAMPLE_SIZE,
     run_gradient_accuracy,
     run_optimization,
@@ -583,6 +585,31 @@ class TestVerifyRunner:
         else:
             assert check["margin"] is None
 
+    @pytest.mark.parametrize("kind", ["uniform", "adversarial_sign", "none"])
+    def test_block_seeded_trial_streams_give_the_report_of_one_stream_each(
+            self, tmp_path, monkeypatch, kind):
+        """The interpolation and Armijo checks seed each trial's noise and
+        point streams in blocks; the report is the one that seeding each
+        stream alone gives, byte for byte, and each trial's point is the
+        first draw of RngStream(seed, 2) for the seed its noise names."""
+        cfg = {"experiment": "verify_bounds", "trials": 300, "seed": 4,
+               "noise": {"kind": kind, "bound": 0.0 if kind == "none" else 1.0e-4},
+               "checks": ["interpolation_error_bound", "armijo_decrease_guarantee"]}
+        seen = []
+        for name in ("interpolation_error", "backtracking_step"):
+            monkeypatch.setattr(runners, name, lambda oracle, x, *args, real=getattr(
+                runners, name), **kw: seen.append((oracle, x)) or real(oracle, x, *args, **kw))
+        run_verify_bounds(cfg, str(tmp_path / "blocks"))
+        assert len(seen) == 500  # 300 // 4 trials at each of 4 combinations, then 200
+        for oracle, x in seen:
+            point = RngStream(oracle.noise.seed, 2).generator().uniform(-2.0, 2.0, x.size)
+            assert x.tobytes() == point.tobytes()
+        monkeypatch.setattr(runners, "generators",
+                            lambda streams: (s.generator() for s in streams))
+        run_verify_bounds(cfg, str(tmp_path / "alone"))
+        blocks, alone = read_bytes_tree(tmp_path / "blocks"), read_bytes_tree(tmp_path / "alone")
+        assert blocks == alone and b'"passed": true' in blocks["report.json"]
+
     def test_check_with_zero_trials_fails(self, tmp_path):
         """Variance domination runs only at n <= 8; with none it must not PASS."""
         cfg = {"experiment": "verify_bounds", "checks": ["gsg_variance_domination"],
@@ -742,6 +769,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"invalid config at {path}: " in err and "is not of type 'integer'" in err
         assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("budget", [10**12, MAX_BUDGET + 1], ids=["1e12", "cap_plus_one"])
+    def test_budget_above_cap_exit_two(self, tmp_path, capsys, budget):
+        """A budget above MAX_BUDGET exits 2, naming the limit, before any
+        file is written: fixed and Adam steps end only on the budget, and a
+        trace keeps every iterate."""
+        cfg = opt_cfg(functions=["quad_n5"], seeds=[0], budget=budget,
+                      noise={"kind": "uniform", "bound": 0.001},
+                      methods=[{"name": "a", "estimator": {"kind": "gsg", "sigma": 0.01},
+                                "stepper": {"type": "adam", "alpha": 0.01}}])
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"budget {budget:,} exceeds MAX_BUDGET = 1,000,000 evaluations" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    def test_budget_at_cap_runs(self, tmp_path):
+        """The cap itself is a valid budget; this run stalls at the minimum."""
+        cfg = opt_cfg(functions=["quad_n5"], seeds=[0], budget=MAX_BUDGET, x0="origin",
+                      methods=[{"name": "ls", "estimator": {"kind": "gsg", "sigma": 0.01},
+                                "stepper": {"type": "line_search"}}])
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "trace_quad_n5__ls__s0.csv").exists()
 
     @pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "set"])
     def test_blas_threads_of_a_run(self, tmp_path, monkeypatch, variable):

@@ -1,5 +1,6 @@
 """Armijo test, backtracking, Adam, and the minimize loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,13 +19,16 @@ from dfoline import (
     armijo_holds,
     backtracking_step,
     core,
+    corpus,
     directions,
     eta,
     get_function,
     LineSearchConstants,
     minimize,
+    optimizer,
     quadratic,
 )
+from dfoline.estimators import _norm
 from dfoline.harness.csvio import TRACE_COLUMNS, write_csv
 
 
@@ -424,3 +428,101 @@ class TestDirectionBlocks:
         assert trace.iterations > core.SEED_BLOCK
         monkeypatch.setattr(core, "SEED_BLOCK", 1)
         assert self.trace_bytes(tmp_path, budget, kind, stepper)[1] == blocked
+
+
+def preset(name, kind="none", bound=0.0):
+    """A factory of fresh oracles of preset ``name`` with the given noise."""
+    return lambda: get_function(name).oracle(NoiseModel(kind, bound, seed=5))
+
+
+class TestInstrumentation:
+    """minimize instruments a trace once, after its loop: phi on one stack of
+    the iterates, the norms by one stacked matmul.  The bytes must be those
+    of instrumenting each iterate on its own."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 100])
+    def test_stacked_norms_are_v_at_v(self, n):
+        gen = RngStream(n).generator()
+        A = gen.standard_normal((300, n)) * 10.0 ** gen.uniform(-150, 150, (300, 1))
+        A[:3] = [[np.inf], [np.nan], [1.0e200]]  # an inf, a NaN and an overflowing square
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = optimizer._sq_norms(A)
+            assert stacked.tobytes() == np.array([v @ v for v in A]).tobytes()
+            assert np.sqrt(stacked).tobytes() == np.array([_norm(v) for v in A]).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(corpus()))
+    def test_phi_of_a_stack_is_phi_of_each_row(self, name):
+        fn = get_function(name)
+        X = RngStream(7).generator().uniform(-3.0, 3.0, (257, fn.n))
+        assert fn.value(X).tobytes() == np.array([fn.value(x[None, :])[0] for x in X]).tobytes()
+
+    @staticmethod
+    def reference(oracle, trace, estimates):
+        """The trace's records with phi, ||grad phi|| and theta_k measured at
+        each iterate alone, as the loop once did: every record has the
+        estimate made at its iterate, the last one only if it has a g_norm."""
+        records = []
+        for rec in trace.records:
+            g = None if math.isnan(rec.g_norm) else estimates[rec.k].g
+            phi = (float(oracle.phi(rec.x[None, :])[0]) if oracle.vectorized
+                   else float(oracle.phi(rec.x)))
+            grad_norm = theta_k = math.nan
+            if oracle.grad_phi is not None:
+                grad = np.asarray(oracle.grad_phi(rec.x), dtype=float)
+                grad_norm = _norm(grad)
+                if g is not None and grad_norm > 0:
+                    theta_k = _norm(g - grad) / grad_norm
+            records.append(dataclasses.replace(
+                rec, phi=phi, grad_norm_true=grad_norm, theta_k=theta_k))
+        return records
+
+    @staticmethod
+    def csv_bytes(tmp_path, records):
+        path = tmp_path / "trace.csv"
+        write_csv(path, TRACE_COLUMNS, [vars(r) for r in records], "")
+        return path.read_bytes() + b"".join(r.x.tobytes() for r in records)
+
+    # case: (oracle factory, estimator, stepper, budget, status or None for any);
+    # x0 is ones, or zeros for a case named "..._at_minimum" (grad phi = 0 there)
+    CASES = {
+        **{f"{kind}_{step}": (oracle, EstimatorConfig(kind=kind, sigma=1.0e-3), stepper, 700, None)
+           for kind in ("gsg", "cgsg", "liod", "ligd", "fd")
+           for step, oracle, stepper in [
+               ("line_search", preset("quad_n10", "uniform", 1e-4), LineSearchConfig(eps_f=1e-4)),
+               ("fixed", preset("sin_n10", "adversarial_sign", 1e-4), FixedStepConfig(alpha=0.02)),
+               ("adam", preset("rosenbrock_n10", "sinusoidal", 1e-4), AdamConfig(alpha=0.01))]},
+        "liod_adaptive": (preset("quad_n10", "uniform", 1e-4), EstimatorConfig(
+            kind="liod", adaptive=True, constants=ProblemConstants(L=10.0, mu=1.0, eps_f=1e-4)),
+            LineSearchConfig(eps_f=1e-4), 20000, "noise_floor"),
+        "not_vectorized": (lambda: Oracle(lambda x: float(x @ x), 3, grad_phi=lambda x: 2.0 * x),
+                           EstimatorConfig(kind="gsg", sigma=1e-4), LineSearchConfig(), 400, None),
+        "no_grad_phi": (lambda: Oracle(get_function("quad_n10").value, 10, vectorized=True),
+                        EstimatorConfig(kind="liod", sigma=1e-4), LineSearchConfig(), 400,
+                        "budget_exhausted"),
+        "failed_non_finite": (preset("quad_n10"), EstimatorConfig(kind="fd", sigma=1e-2),
+                              FixedStepConfig(alpha=1.7e308), 500, "failed"),
+        "failed_vanished": (preset("rosenbrock_n4"), EstimatorConfig(kind="fd", sigma=1e-6),
+                            FixedStepConfig(alpha=1.0), 2000, "failed"),
+        "noise_floor_stall": (preset("quad_n5", "uniform", 1e-3),
+                              EstimatorConfig(kind="gsg", sigma=0.1),
+                              LineSearchConfig(eps_f=0.0), 3000, "noise_floor"),
+        "noise_floor_at_minimum": (preset("quad_n5"), EstimatorConfig(kind="gsg", sigma=0.1),
+                                   LineSearchConfig(), 500, "noise_floor"),
+        "converged": (lambda: Oracle(lambda x: 3.0, 2),
+                      EstimatorConfig(kind="gsg", num_directions=2), LineSearchConfig(), 50,
+                      "converged"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_trace_bytes_equal_per_iterate_reference(self, tmp_path, monkeypatch, case):
+        make_oracle, est, stepper, budget, status = self.CASES[case]
+        oracle = make_oracle()
+        estimates = []
+        real = optimizer.estimate_on
+        monkeypatch.setattr(optimizer, "estimate_on",
+                            lambda *args: estimates.append(real(*args)) or estimates[-1])
+        x0 = np.full(oracle.dimension, 0.0 if case.endswith("at_minimum") else 1.0)
+        trace = minimize(oracle, x0, est, stepper, budget, RngStream(4, 1))
+        assert trace.status == (status or trace.status) == trace.records[-1].status
+        assert self.csv_bytes(tmp_path, trace.records) == self.csv_bytes(
+            tmp_path, self.reference(oracle, trace, estimates))

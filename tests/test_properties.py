@@ -5,20 +5,29 @@ deterministic and its run time bounded.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfoline import (
+    AdamConfig,
+    EstimatorConfig,
+    FixedStepConfig,
+    LineSearchConfig,
     NoiseModel,
+    Oracle,
     RngStream,
     corpus,
     get_function,
     interpolation_error,
     interpolation_error_bound,
+    minimize,
 )
 from dfoline.core import NOISE_KINDS
+from dfoline.estimators import ESTIMATORS
+from dfoline.optimizer import GRAD_NORM_TOL
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -54,3 +63,49 @@ def test_batch_evaluation_equals_sequential(name, kind, log_eps_f, seed, m):
     single = fn.oracle(noise)
     sequential = np.array([single.evaluate(x) for x in X])
     assert batch.tobytes() == sequential.tobytes()
+
+
+def flat_oracle(noise):
+    """A constant phi: with no noise every estimate vanishes."""
+    return Oracle(lambda X: np.full(len(X), 3.0), 4, noise, vectorized=True, name="flat")
+
+
+steppers = st.one_of(
+    st.builds(LineSearchConfig, eps_f=st.sampled_from([0.0, 1e-6, 1e-3])),
+    st.builds(FixedStepConfig, alpha=st.sampled_from([1e-3, 0.1, 1.0, 1e3, 1.7e308])),
+    st.builds(AdamConfig, alpha=st.sampled_from([1e-2, 1.0, 1.7e308])),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(name=st.sampled_from(["quad_n5", "rosenbrock_n4", "sin_n10", "flat"]),
+       kind=noise_kinds, bound=st.sampled_from([0.0, 1e-8, 1e-3]),
+       estimator=st.sampled_from(sorted(ESTIMATORS)),
+       sigma=st.sampled_from([1e-310, 1e-12, 1e-6, 1e-2, 1.0, 1e150]),
+       stepper=steppers, budget=st.integers(1, 400), x0_scale=st.sampled_from([0.0, 1.0, 1e6]),
+       seed=seeds)
+def test_trace_status_agrees_with_records(name, kind, bound, estimator, sigma, stepper, budget,
+                                          x0_scale, seed):
+    """Whatever the run does, its records count k = 0..K, their evals never
+    fall nor pass the budget, every record but the last is an ok step with a
+    finite alpha, and the last has no alpha and the trace's status.  A run
+    reads converged only where phi is finite and sigma resolves the vanished
+    gradient: spacing(|f|) / sigma <= GRAD_NORM_TOL."""
+    noise = NoiseModel(kind, bound, seed=seed)
+    oracle = flat_oracle(noise) if name == "flat" else get_function(name).oracle(noise)
+    est = EstimatorConfig(kind=estimator, sigma=sigma)
+    n = oracle.dimension
+    if budget < est.evals_per_call(n) + 1:
+        budget += est.evals_per_call(n) + 1
+    x0 = x0_scale * RngStream(seed, 2).generator().uniform(-2.0, 2.0, n)
+    trace = minimize(oracle, x0, est, stepper, budget, RngStream(seed, 1))
+    records = trace.records
+    assert [r.k for r in records] == list(range(len(records)))
+    evals = [r.evals for r in records]
+    assert evals == sorted(evals) and evals[-1] <= budget
+    assert all(r.status == "ok" and math.isfinite(r.alpha) for r in records[:-1])
+    last = records[-1]
+    assert math.isnan(last.alpha) and last.status == trace.status != "ok"
+    if trace.status == "converged":
+        assert math.isfinite(last.phi)
+        assert float(np.spacing(abs(last.f))) / sigma <= GRAD_NORM_TOL

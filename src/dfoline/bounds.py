@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DFOError, Oracle, RngStream
-from .directions import orthonormal_directions
+from .directions import DirectionSet
 from .estimators import gsg_from_values, interpolation_gradient
 
 
@@ -311,17 +311,19 @@ def gaussian_smoothing_constants(sigma: float, L_f: float, n: int) -> tuple[floa
 # Monte Carlo measurements of the quantities the bounds above cap
 
 
-def interpolation_error(oracle: Oracle, x, sigma: float, stream: RngStream) -> float:
-    """||g - grad phi(x)|| of the LIOD estimate at x, the quantity
-    :func:`interpolation_error_bound` caps.
+def interpolation_error(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> float:
+    """||g - grad phi(x)|| of the interpolation estimate g at x on the n
+    directions ``dirs``, the quantity :func:`interpolation_error_bound` caps
+    when they are orthonormal (LIOD).
 
-    The n orthonormal directions are drawn from ``stream``; grad phi comes
-    from ``oracle.grad_phi``.  Where the squared entries overflow (an entry
-    past about 1.3e154), the norm is taken of the entries scaled by the
-    largest of them.
+    A caller that holds a stream passes ``orthonormal_directions(n, n,
+    stream)``; the verify-bounds check draws its sets in blocks
+    (:func:`~dfoline.estimators.direction_sets`), with the same bits.  grad
+    phi comes from ``oracle.grad_phi``.  Where the squared entries overflow
+    (an entry past about 1.3e154), the norm is taken of the entries scaled by
+    the largest of them.
     """
-    n = oracle.dimension
-    est = interpolation_gradient(oracle, x, sigma, orthonormal_directions(n, n, stream))
+    est = interpolation_gradient(oracle, x, sigma, dirs)
     err = est.g - oracle.grad_phi(x)
     norm = float(np.linalg.norm(err))
     if math.isinf(norm):

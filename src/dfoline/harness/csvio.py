@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 
 ACCURACY_COLUMNS = [
     "experiment_id", "function", "n", "estimator", "method", "N", "sigma",
@@ -44,22 +43,11 @@ def record_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "big")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, columns: list[str], rows, cfg_hash: str) -> None:
-    """Write rows (dicts keyed by column) under a config-hash comment line."""
+    """Write rows (dicts keyed by column) under a config-hash comment line.
+    The csv module writes a float by repr and None (a NaN here) as empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_sha256={cfg_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
-
+        writer.writerows([v if v == v else None for v in map(row.get, columns)] for row in rows)

@@ -310,11 +310,12 @@ def _check_interpolation_bound(cfg, root, noise) -> dict:
             sigma, fn.n, dataclasses.replace(fn.constants, eps_f=declared))
         seeds = [record_seed(root, "interp", fname, repr(sigma), t) for t in range(per)]
         noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
+        dir_sets = direction_sets("liod", fn.n, fn.n, (RngStream(seed, 1) for seed in seeds))
         points = generators(RngStream(seed, 2) for seed in seeds)
-        for seed, noise_rng, point in zip(seeds, noise_rngs, points):
+        for seed, noise_rng, dirs, point in zip(seeds, noise_rngs, dir_sets, points):
             oracle = fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng)
             x = point.uniform(-2.0, 2.0, fn.n)
-            err = interpolation_error(oracle, x, sigma, RngStream(seed, 1))
+            err = interpolation_error(oracle, x, sigma, dirs)
             witness = {"function": fname, "sigma": sigma, "seed": seed,
                        "error": err, "bound": bound, "declared_eps_f": declared}
             cases.append(((bound - err) / bound,

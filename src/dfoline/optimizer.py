@@ -36,14 +36,9 @@ class StallError(DFOError):
     when the evaluation allowance ran out mid-search.
     """
 
-    def __init__(self, message: str, *, reason: str, x, g_norm: float,
-                 f_curr: float, last_alpha: float, trials: int):
+    def __init__(self, message: str, *, reason: str, trials: int):
         super().__init__(message)
         self.reason = reason
-        self.x = np.asarray(x, dtype=float).copy()
-        self.g_norm = g_norm
-        self.f_curr = f_curr
-        self.last_alpha = last_alpha
         self.trials = trials
 
 
@@ -92,11 +87,8 @@ def backtracking_step(
     trials = 0
     while alpha >= alpha_min:
         if max_trials is not None and trials >= max_trials:
-            raise StallError(
-                "evaluation allowance exhausted during backtracking",
-                reason="budget", x=x, g_norm=math.sqrt(g_norm_sq),
-                f_curr=f_curr, last_alpha=alpha, trials=trials,
-            )
+            raise StallError("evaluation allowance exhausted during backtracking",
+                             reason="budget", trials=trials)
         x_trial = x - alpha * g
         f_trial = oracle.evaluate(x_trial)
         trials += 1
@@ -106,8 +98,7 @@ def backtracking_step(
     raise StallError(
         f"no step above alpha_min={alpha_min:.1e} passed the Armijo test "
         f"after {trials} trials; iterate is at the attainable noise floor",
-        reason="alpha_min", x=x, g_norm=math.sqrt(g_norm_sq),
-        f_curr=f_curr, last_alpha=alpha / tau if trials else alpha, trials=trials,
+        reason="alpha_min", trials=trials,
     )
 
 

@@ -98,7 +98,8 @@ def test_criterion_02_error_bound_is_hard():
                 sigma = (1.0e-2, 1.0e-4)[trial % 2]
                 oracle = fn.oracle(NoiseModel("uniform", eps_f, seed=trial * 7 + 1))
                 x = RngStream(trial, 2, (fn.n,)).generator().uniform(-2.0, 2.0, fn.n)
-                err = interpolation_error(oracle, x, sigma, RngStream(trial, 1, (fn.n,)))
+                err = interpolation_error(oracle, x, sigma, orthonormal_directions(
+                    fn.n, fn.n, RngStream(trial, 1, (fn.n,))))
                 bound = interpolation_error_bound(sigma, fn.n, consts)
                 worst_ratio = max(worst_ratio, err / bound)
                 trials += 1

@@ -22,9 +22,12 @@ from dfoline import (
     gsg_misses,
     gsg_sample_size,
     gsg_variance_bound,
+    get_function,
+    interpolation_error,
     interpolation_error_bound,
     moment_identity_check,
     nonconvex_avg_bound,
+    orthonormal_directions,
     sigma_range,
     strongly_convex_certificate,
 )
@@ -209,6 +212,38 @@ class TestInterpolationErrorBound:
             interpolation_error_bound(0.0, 1, consts)
         with pytest.raises(ValueError, match="Q"):
             interpolation_error_bound(0.1, 1, consts, Qinv_norm=0.5)
+
+
+def liod_error_gap(fname: str, sigma: float, seed: int) -> float:
+    """The relative gap between the noise-free LIOD error of quadratic
+    ``fname`` at a drawn point and its closed form on the drawn Q:
+    phi = 1/2 x^T A x gives g - A x = (sigma/2) sum_i (u_i^T A u_i) u_i."""
+    fn = get_function(fname)
+    A = np.array([fn.gradient(e) for e in np.eye(fn.n)]).T  # exact: grad phi is A x
+    dirs = orthonormal_directions(fn.n, fn.n, RngStream(seed, 1))
+    x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
+    err = interpolation_error(fn.oracle(), x, sigma, dirs)
+    Q = dirs.Q
+    exact = float(np.linalg.norm(0.5 * sigma * np.einsum("ij,jk,ik->i", Q, A, Q) @ Q))
+    return abs(err - exact) / exact
+
+
+class TestInterpolationError:
+    CASES = [(f, s, seed) for f in ("quad_n5", "quad_n10", "quad_n20")
+             for s in (1.0e-2, 1.0e-1) for seed in (0, 1, 7, 2**40 + 3)]
+    RTOL = 1.0e-8
+
+    @pytest.mark.parametrize("fname, sigma, seed", CASES)
+    def test_noise_free_quadratic_error_is_exact(self, fname, sigma, seed):
+        assert liod_error_gap(fname, sigma, seed) <= self.RTOL
+
+    def test_transposed_q_leaves_the_closed_form(self, monkeypatch):
+        """A planted transposed Q inside the estimate fails the exact test
+        in every case."""
+        real = bounds.interpolation_gradient
+        monkeypatch.setattr(bounds, "interpolation_gradient", lambda oracle, x, sigma, dirs: real(
+            oracle, x, sigma, DirectionSet(dirs.Q.T, dirs.kind)))
+        assert min(liod_error_gap(*case) for case in self.CASES) > self.RTOL
 
 
 class TestSigmaRange:

@@ -100,7 +100,8 @@ def replay_interpolation_witness(witness, noise):
     seed = witness["seed"]
     oracle = fn.oracle(NoiseModel(noise["kind"], noise["bound"], seed=seed))
     x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
-    assert interpolation_error(oracle, x, witness["sigma"], RngStream(seed, 1)) == witness["error"]
+    dirs = directions.orthonormal_directions(fn.n, fn.n, RngStream(seed, 1))
+    assert interpolation_error(oracle, x, witness["sigma"], dirs) == witness["error"]
     assert witness["error"] > witness["bound"]
 
 
@@ -607,6 +608,39 @@ class TestVerifyRunner:
         monkeypatch.setattr(runners, "generators",
                             lambda streams: (s.generator() for s in streams))
         run_verify_bounds(cfg, str(tmp_path / "alone"))
+        blocks, alone = read_bytes_tree(tmp_path / "blocks"), read_bytes_tree(tmp_path / "alone")
+        assert blocks == alone and b'"passed": true' in blocks["report.json"]
+
+    @pytest.mark.parametrize("kind", ["uniform", "adversarial_sign", "none"])
+    def test_block_drawn_direction_sets_give_the_report_of_one_set_each(
+            self, tmp_path, monkeypatch, kind):
+        """The interpolation check draws its direction sets in blocks; the
+        report is the one that drawing each set alone gives, byte for byte,
+        and each trial's set comes from RngStream(seed, 1) for the seed its
+        oracle's noise names."""
+        cfg = {"experiment": "verify_bounds", "trials": 300, "seed": 5,
+               "noise": {"kind": kind, "bound": 0.0 if kind == "none" else 1.0e-4},
+               "checks": ["interpolation_error_bound"]}
+        real = runners.interpolation_error
+        seen = []
+
+        def spy(oracle, x, sigma, dirs):
+            err = real(oracle, x, sigma, dirs)
+            seen.append((oracle.noise.seed, dirs, err))
+            return err
+
+        monkeypatch.setattr(runners, "interpolation_error", spy)
+        run_verify_bounds(cfg, str(tmp_path / "blocks"))
+        assert len(seen) == 300  # 300 // 4 trials at each of 4 combinations
+        for seed, dirs, _ in seen:
+            assert dirs.kind == "orthonormal" and dirs.Q.shape == (10, 10)
+            assert dirs.stream == RngStream(seed, 1)
+        errors = [(seed, err) for seed, _, err in seen]
+        seen.clear()
+        monkeypatch.setattr(runners, "direction_sets", lambda kind, n, N, streams: (
+            directions.orthonormal_directions(n, N, s) for s in streams))
+        run_verify_bounds(cfg, str(tmp_path / "alone"))
+        assert [(seed, err) for seed, _, err in seen] == errors
         blocks, alone = read_bytes_tree(tmp_path / "blocks"), read_bytes_tree(tmp_path / "alone")
         assert blocks == alone and b'"passed": true' in blocks["report.json"]
 

@@ -96,7 +96,7 @@ class TestBacktracking:
 
     def test_stall_at_alpha_min(self):
         """At the minimizer every direction is uphill, so the search walks
-        alpha down to the floor and raises with full diagnostics."""
+        alpha down to the floor and raises with its reason and trial count."""
         oracle = half_square_oracle()
         with pytest.raises(StallError) as info:
             backtracking_step(
@@ -106,10 +106,6 @@ class TestBacktracking:
         err = info.value
         assert err.reason == "alpha_min"
         assert err.trials == 23  # 0.3^22 >= 1e-12 > 0.3^23
-        assert err.last_alpha == pytest.approx(0.3**22)
-        assert err.g_norm == 1.0
-        assert err.f_curr == 0.0
-        np.testing.assert_array_equal(err.x, [0.0])
 
     def test_stall_on_trial_allowance(self):
         oracle = half_square_oracle()

@@ -8,11 +8,12 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dfoline import (
     AdamConfig,
+    DirectionSet,
     EstimatorConfig,
     FixedStepConfig,
     LineSearchConfig,
@@ -24,9 +25,10 @@ from dfoline import (
     interpolation_error,
     interpolation_error_bound,
     minimize,
+    orthonormal_directions,
 )
 from dfoline.core import NOISE_KINDS
-from dfoline.estimators import ESTIMATORS
+from dfoline.estimators import ESTIMATORS, estimate_on
 from dfoline.optimizer import GRAD_NORM_TOL
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -46,9 +48,33 @@ def test_interpolation_error_within_bound(name, kind, log_sigma, log_eps_f, seed
     sigma, eps_f = 10.0**log_sigma, 10.0**log_eps_f
     oracle = fn.oracle(NoiseModel(kind, eps_f, seed=seed))
     x = RngStream(seed, 2).generator().uniform(-2.0, 2.0, fn.n)
-    err = interpolation_error(oracle, x, sigma, RngStream(seed, 1))
+    dirs = orthonormal_directions(fn.n, fn.n, RngStream(seed, 1))
+    err = interpolation_error(oracle, x, sigma, dirs)
     bound = interpolation_error_bound(sigma, fn.n, dataclasses.replace(fn.constants, eps_f=eps_f))
     assert err <= bound * (1.0 + 1.0e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(kind=st.sampled_from(["liod", "fd"]), data=st.data(), n=st.integers(1, 8),
+       sigma=st.floats(1.0e-3, 1.0), c=st.floats(-1.0e3, 1.0e3))
+def test_interpolation_is_exact_for_linear_phi(kind, data, n, sigma, c):
+    """At zero noise, interpolation on any orthonormal Q returns the gradient
+    a of phi = a^T x + c, up to the round-off of the n + 1 evaluations: the
+    Q of a drawn matrix for liod, a signed row permutation of I for fd."""
+    entries = st.floats(-10.0, 10.0)
+    a, x = (np.array(data.draw(st.lists(entries, min_size=n, max_size=n))) for _ in "ax")
+    if kind == "liod":
+        M = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+        assume(np.linalg.cond(M) < 1.0e8)
+        Q = np.linalg.qr(M)[0]
+    else:
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+        Q = np.eye(n)[data.draw(st.permutations(range(n)))] * np.array(signs)[:, None]
+    oracle = Oracle(lambda X: X @ a + c, n, vectorized=True, name="linear")
+    dirs = DirectionSet(Q, "orthonormal" if kind == "liod" else "coordinate")
+    g = estimate_on(kind, oracle, x, sigma, dirs).g
+    scale = np.abs(a).sum() * (np.abs(x).max() + sigma) + abs(c)
+    np.testing.assert_allclose(g, a, rtol=0.0, atol=4 * n * (n + 2) * 2.0**-52 * scale / sigma)
 
 
 @SETTINGS

@@ -1,27 +1,18 @@
-"""Tour of the oracle layer: bounded noise models and the four estimators.
+"""Tour of the oracle layer: bounded noise models and the five estimators.
 
 Builds a 10-dimensional quadratic, attaches each noise kind at the oracle
 boundary, and confirms the hard bound |f(x) - phi(x)| <= eps_f empirically.
-Then estimates the gradient at a random point with every estimator and
-reports the relative error theta = ||g - grad phi|| / ||grad phi||.
+Then estimates the gradient at a random point with every estimator kind of
+``ESTIMATORS``, each on N = n directions drawn from one stream, and reports
+the relative error theta = ||g - grad phi|| / ||grad phi||.
 
 Run:  python3 demos/noisy_oracles.py
 """
 
 import numpy as np
 
-from dfoline import (
-    NoiseModel,
-    RngStream,
-    cgsg,
-    coordinate_directions,
-    gaussian_directions,
-    gsg,
-    interpolation_gradient,
-    orthonormal_directions,
-    quadratic,
-    relative_error,
-)
+from dfoline import NoiseModel, RngStream, quadratic, relative_error
+from dfoline.estimators import ESTIMATORS, estimate
 
 EPS_F = 1.0e-4
 SIGMA = 1.0e-2
@@ -42,16 +33,12 @@ def main():
     print(f"\nestimators at sigma = {SIGMA:g} under uniform noise:")
     grad = fn.gradient(x)
     stream = RngStream(0, 1)
-    for label, run in [
-        ("gsg  (N=n Gaussian)", lambda o: gsg(o, x, SIGMA, gaussian_directions(fn.n, fn.n, stream))),
-        ("cgsg (N=n Gaussian)", lambda o: cgsg(o, x, SIGMA, gaussian_directions(fn.n, fn.n, stream))),
-        ("liod (orthonormal)", lambda o: interpolation_gradient(o, x, SIGMA, orthonormal_directions(fn.n, fn.n, stream))),
-        ("fd   (coordinate)", lambda o: interpolation_gradient(o, x, SIGMA, coordinate_directions(fn.n))),
-    ]:
+    for kind, spec in ESTIMATORS.items():
         oracle = fn.oracle(NoiseModel("uniform", EPS_F))
-        est = run(oracle)
+        est = estimate(kind, oracle, x, SIGMA, fn.n, stream)
         theta = relative_error(est.g, grad)
-        print(f"  {label:<20s} theta {theta:.3e}   evals {oracle.eval_count}")
+        print(f"  {kind:<5s}{spec.sets.__name__:<20s}theta {theta:.3e}   "
+              f"evals {oracle.eval_count}")
 
     print("\ninterpolation pays n+1 evaluations and tracks the gradient;")
     print("single-sigma smoothing at the same cost is Monte Carlo noisy.")

@@ -318,10 +318,10 @@ def interpolation_error(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> 
 
     A caller that holds a stream passes ``orthonormal_directions(n, n,
     stream)``; the verify-bounds check draws its sets in blocks
-    (:func:`~dfoline.estimators.direction_sets`), with the same bits.  grad
-    phi comes from ``oracle.grad_phi``.  Where the squared entries overflow
-    (an entry past about 1.3e154), the norm is taken of the entries scaled by
-    the largest of them.
+    (``ESTIMATORS["liod"].sets``), with the same bits.  grad phi comes from
+    ``oracle.grad_phi``.  Where the squared entries overflow (an entry past
+    about 1.3e154), the norm is taken of the entries scaled by the largest of
+    them.
     """
     est = interpolation_gradient(oracle, x, sigma, dirs)
     err = est.g - oracle.grad_phi(x)

@@ -78,17 +78,25 @@ class _SeedWords:
         return self.words
 
 
+def _stream(rng) -> RngStream:
+    """``rng``, checked to be an :class:`RngStream`."""
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"rng must be an RngStream, got {type(rng)!r}")
+    return rng
+
+
 def generators(streams: Iterable[RngStream]) -> Iterator[np.random.Generator]:
     """``s.generator()`` for each s in ``streams``, with the same bits.  The
     seeds of SEED_BLOCK streams are hashed at once when each seed is below
     2**128 (4 words, as numpy pads it) and each key entry below 2**32, with
     as many entries as the block's first; numpy seeds any other stream, and
-    raises on a negative entry.  Each generator is built as it is yielded."""
+    raises on a negative entry.  Each generator is built as it is yielded,
+    and any item that is not an RngStream is a TypeError."""
     from numpy.random.bit_generator import ISeedSequence  # not at import
 
     ISeedSequence.register(_SeedWords)
     Generator, PCG64 = np.random.Generator, np.random.PCG64
-    streams = iter(streams)
+    streams = map(_stream, streams)
     while block := list(itertools.islice(streams, SEED_BLOCK)):
         # a seed below 2**128 is its 4 words, each key entry below 2**32 one
         rows = [(s.seed & _MASK, s.seed >> 32 & _MASK, s.seed >> 64 & _MASK, s.seed >> 96,

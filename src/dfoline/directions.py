@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, generators
+from .core import RngStream, _stream, generators
 
 DIRECTION_KINDS = ("coordinate", "gaussian", "orthonormal")
 
@@ -44,12 +44,6 @@ class DirectionSet:
         object.__setattr__(self, "Q", Q)
 
 
-def _generator(rng: RngStream) -> np.random.Generator:
-    if not isinstance(rng, RngStream):
-        raise TypeError(f"rng must be an RngStream, got {type(rng)!r}")
-    return rng.generator()
-
-
 def coordinate_directions(n: int) -> DirectionSet:
     """The coordinate basis e_1..e_n as rows (so Q = I_n)."""
     if n < 1:
@@ -61,7 +55,7 @@ def gaussian_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
     """N i.i.d. standard-normal rows of dimension n, deterministic given rng."""
     if n < 1 or N < 1:
         raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
-    return DirectionSet(_generator(rng).standard_normal((N, n)), "gaussian", rng)
+    return DirectionSet(_stream(rng).generator().standard_normal((N, n)), "gaussian", rng)
 
 
 def _check_orthonormal(n: int, N: int) -> None:
@@ -85,7 +79,14 @@ def _haar_rows(G: np.ndarray) -> np.ndarray:
 def orthonormal_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
     """N <= n Haar-distributed orthonormal rows from an (n, N) Gaussian draw."""
     _check_orthonormal(n, N)
-    return DirectionSet(_haar_rows(_generator(rng).standard_normal((n, N))), "orthonormal", rng)
+    G = _stream(rng).generator().standard_normal((n, N))
+    return DirectionSet(_haar_rows(G), "orthonormal", rng)
+
+
+def coordinate_sets(n: int, N: int, streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
+    """``coordinate_directions(n)`` for each stream; nothing is drawn."""
+    for _ in streams:
+        yield coordinate_directions(n)
 
 
 def gaussian_sets(n: int, N: int, streams: Iterable[RngStream]) -> Iterator[DirectionSet]:

@@ -10,17 +10,17 @@ Two families:
   Gaussian rows give LIGD via a general solve.
 
 :data:`ESTIMATORS` is the one table of the five estimator kinds the harness
-and :func:`dfoline.minimize` accept.  :func:`estimate` draws directions and
-runs the estimator for any of them; :func:`direction_sets` gives the sets of
-a run's iterations, and :func:`estimate_on` runs the estimator on one.  The
-relative-error metric theta = ||g - grad phi|| / ||grad phi|| lives here
-too, since every accuracy experiment reports it.
+and :func:`dfoline.minimize` accept: each row holds the kind's set builder
+(``ESTIMATORS[kind].sets``) and names its formula.  :func:`estimate_on` runs
+the formula on one set, and :func:`estimate` draws that set from one stream
+first.  The relative-error metric theta = ||g - grad phi|| / ||grad phi||
+lives here too, since every accuracy experiment reports it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +28,10 @@ import numpy as np
 from .core import DFOError, Oracle, RngStream, as_point
 from .directions import (
     DirectionSet,
-    coordinate_directions,
+    coordinate_sets,
     gaussian_directions,
     gaussian_sets,
     orthonormal_blocks,
-    orthonormal_directions,
 )
 
 # LIGD draws can be numerically poor even though a Gaussian matrix is almost
@@ -182,15 +181,18 @@ def relative_error(g, grad_true) -> float:
 class EstimatorKind:
     """One row of :data:`ESTIMATORS`.
 
-    ``directions`` and ``formula`` name module-level functions of this module,
-    looked up at call time, so a wrapper installed on the module (a profiler
-    or a tracer) sees every call.  ``interpolates`` kinds need N = n;
-    ``adaptive`` kinds have ||Q^-1|| = 1, so their sigma may follow the
-    accuracy window; ``measures_center`` kinds spend one of their evaluations
-    on f(x) and return it as ``f_center``.
+    ``sets(n, N, streams)`` yields the kind's N directions in dimension n for
+    each stream, block-seeded where it draws (:mod:`dfoline.directions`).
+    ``formula`` names a module-level function of this module, looked up at
+    call time, so a wrapper installed on the module sees every call: the
+    benchmark's tracer (``perfbench/spans.py``) times the formulas by
+    patching module attributes, which a function object held here would hide.
+    ``interpolates`` kinds need N = n; ``adaptive`` kinds have ||Q^-1|| = 1,
+    so their sigma may follow the accuracy window; ``measures_center`` kinds
+    spend one of their evaluations on f(x) and return it as ``f_center``.
     """
 
-    directions: str
+    sets: Callable[[int, int, Iterable[RngStream]], Iterator[DirectionSet]]
     formula: str
     interpolates: bool
     adaptive: bool
@@ -202,39 +204,18 @@ class EstimatorKind:
 
 
 ESTIMATORS = {
-    "gsg": EstimatorKind("gaussian_directions", "gsg", False, False, True),
-    "cgsg": EstimatorKind("gaussian_directions", "cgsg", False, False, False),
-    "liod": EstimatorKind("orthonormal_directions", "interpolation_gradient", True, True, True),
-    "ligd": EstimatorKind("gaussian_directions", "interpolation_gradient", True, False, True),
-    "fd": EstimatorKind("coordinate_directions", "interpolation_gradient", True, True, True),
+    "gsg": EstimatorKind(gaussian_sets, "gsg", False, False, True),
+    "cgsg": EstimatorKind(gaussian_sets, "cgsg", False, False, False),
+    "liod": EstimatorKind(orthonormal_blocks, "interpolation_gradient", True, True, True),
+    "ligd": EstimatorKind(gaussian_sets, "interpolation_gradient", True, False, True),
+    "fd": EstimatorKind(coordinate_sets, "interpolation_gradient", True, True, True),
 }
-
-
-def draw_directions(kind: str, n: int, N: int, stream: RngStream) -> DirectionSet:
-    """The N directions in dimension n that estimator ``kind`` draws from ``stream``."""
-    spec = ESTIMATORS[kind]
-    build = globals()[spec.directions]
-    return build(n) if spec.directions == "coordinate_directions" else build(n, N, stream)
-
-
-def direction_sets(kind: str, n: int, N: int,
-                   streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
-    """``draw_directions(kind, n, N, s)`` for each s in ``streams``, with
-    the same bits.  The streams are seeded in blocks
-    (:func:`~dfoline.core.generators`), and orthonormal sets share one QR
-    call per block (:func:`~dfoline.directions.orthonormal_blocks`)."""
-    directions = ESTIMATORS[kind].directions
-    if directions == "orthonormal_directions":
-        return orthonormal_blocks(n, N, streams)
-    if directions == "gaussian_directions":
-        return gaussian_sets(n, N, streams)
-    return (draw_directions(kind, n, N, s) for s in streams)
 
 
 def estimate(kind: str, oracle: Oracle, x, sigma: float, N: int, stream) -> GradientEstimate:
     """Draw the N directions of estimator ``kind`` from ``stream`` and estimate at x."""
-    return estimate_on(kind, oracle, x, sigma,
-                       draw_directions(kind, oracle.dimension, N, stream))
+    dirs = next(ESTIMATORS[kind].sets(oracle.dimension, N, [stream]))
+    return estimate_on(kind, oracle, x, sigma, dirs)
 
 
 def estimate_on(kind: str, oracle: Oracle, x, sigma: float,

@@ -31,8 +31,7 @@ from ..bounds import (
     moment_identity_check,
 )
 from ..core import DFOError, NoiseModel, RngStream, generators
-from ..estimators import (ESTIMATORS, UndefinedMetricError, direction_sets, estimate_on,
-                          relative_error)
+from ..estimators import ESTIMATORS, UndefinedMetricError, estimate_on, relative_error
 from ..optimizer import STEPPERS, EstimatorConfig, backtracking_step, minimize
 from ..testfns import get_function
 from .config import ConfigError, config_hash, with_defaults
@@ -72,6 +71,10 @@ def _functions(names) -> dict:
     return fns
 
 
+#: Most floats in the points one grad-accuracy estimate evaluates: n per point.
+MAX_SET_FLOATS = 1_000_000
+
+
 def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     """Sweep (function, estimator, sigma, N, trial); write records and summaries.
 
@@ -81,6 +84,8 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     so direction-count factors other than 1 apply only to gsg/cgsg.  A trial
     whose estimate raises a runtime failure is recorded as "failed", with its
     replay seed and no theta, and counted in its group's "failed" column.
+    An N whose estimate would evaluate more than MAX_SET_FLOATS floats is a
+    ConfigError before the first record.
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
@@ -89,19 +94,23 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     noise = _noise_model(cfg)
     root = cfg["seed"]
 
+    combos = [(fname, est, sigma, nf) for fname, est, sigma, nf in itertools.product(
+        cfg["functions"], cfg["estimators"], map(float, cfg["sigmas"]), cfg["n_factors"])
+        if nf == 1 or not ESTIMATORS[est].interpolates]
+    for fname, est, _, nf in combos:
+        n = fns[fname].n
+        if (floats := ESTIMATORS[est].evals_per_call(nf * n) * n) > MAX_SET_FLOATS:
+            raise ConfigError(f"n_factors {nf:,}: one {est} estimate on {fname} evaluates "
+                              f"{floats:,} floats, above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}")
     rows = []
-    for fname, est, sigma, nf in itertools.product(
-        cfg["functions"], cfg["estimators"], map(float, cfg["sigmas"]), cfg["n_factors"]
-    ):
-        if ESTIMATORS[est].interpolates and nf != 1:
-            continue
+    for fname, est, sigma, nf in combos:
         fn = fns[fname]
         N = nf * fn.n
         seeds = [record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
                  for trial in range(cfg["trials"])]
         noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
         points = generators(RngStream(seed, 2) for seed in seeds)
-        sets = direction_sets(est, fn.n, N, (RngStream(seed, 1) for seed in seeds))
+        sets = ESTIMATORS[est].sets(fn.n, N, (RngStream(seed, 1) for seed in seeds))
         for trial, seed in enumerate(seeds):
             oracle = fn.oracle(dataclasses.replace(noise, seed=seed), next(noise_rngs))
             if cfg["eval_point"] == "origin":
@@ -310,7 +319,7 @@ def _check_interpolation_bound(cfg, root, noise) -> dict:
             sigma, fn.n, dataclasses.replace(fn.constants, eps_f=declared))
         seeds = [record_seed(root, "interp", fname, repr(sigma), t) for t in range(per)]
         noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
-        dir_sets = direction_sets("liod", fn.n, fn.n, (RngStream(seed, 1) for seed in seeds))
+        dir_sets = ESTIMATORS["liod"].sets(fn.n, fn.n, (RngStream(seed, 1) for seed in seeds))
         points = generators(RngStream(seed, 2) for seed in seeds)
         for seed, noise_rng, dirs, point in zip(seeds, noise_rngs, dir_sets, points):
             oracle = fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng)

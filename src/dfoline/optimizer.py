@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import NoFeasibleSigmaError, ProblemConstants, sigma_range
 from .core import DFOError, Oracle, RngStream, as_point
-from .estimators import ESTIMATORS, _norm, direction_sets, estimate_on
+from .estimators import ESTIMATORS, _norm, estimate_on
 
 GRAD_NORM_TOL = 1.0e-12
 
@@ -321,7 +321,7 @@ def minimize(
     so runs are bit-reproducible given (seed, config).  The sets depend on
     nothing else, so the child streams are seeded in blocks, and orthonormal
     sets drawn in blocks with one QR call, with the bits numpy gives each
-    stream and set alone (see :func:`~dfoline.estimators.direction_sets`).
+    stream and set alone (the kind's ``ESTIMATORS[kind].sets``).
     The trace gains one record per iterate including the final one, and ends
     "converged", "budget_exhausted", "noise_floor", or "failed" (see
     ``trace.detail``).  A :class:`DFOError` raised inside the loop ends the
@@ -343,7 +343,7 @@ def minimize(
     if not isinstance(stepper, tuple(STEPPERS.values())):
         raise TypeError(f"unknown stepper config {type(stepper)!r}")
     step = stepper.start(n)
-    sets = direction_sets(estimator.kind, n, N, map(rng.child, itertools.count()))
+    sets = ESTIMATORS[estimator.kind].sets(n, N, map(rng.child, itertools.count()))
 
     extra = 1 if isinstance(stepper, LineSearchConfig) else 0
     extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart

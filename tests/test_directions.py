@@ -190,3 +190,13 @@ class TestGaussianSets:
     def test_sizes_validated(self):
         with pytest.raises(ValueError, match="N >= 1"):
             next(directions.gaussian_sets(3, 0, children(RngStream(0))))
+
+
+@pytest.mark.parametrize("build", [directions.gaussian_sets, directions.orthonormal_blocks],
+                         ids=["gaussian_sets", "orthonormal_blocks"])
+def test_block_builders_need_rng_streams(build):
+    """A bare int seed is the per-set builders' TypeError, not an AttributeError."""
+    with pytest.raises(TypeError, match="rng must be an RngStream, got <class 'int'>"):
+        next(build(3, 2, [5]))
+    with pytest.raises(TypeError, match="rng must be an RngStream"):
+        list(build(3, 2, [RngStream(0, 1), np.random.default_rng(0)]))

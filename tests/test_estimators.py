@@ -16,6 +16,7 @@ from dfoline import (
     UndefinedMetricError,
     cgsg,
     coordinate_directions,
+    directions,
     gaussian_directions,
     gsg,
     interpolation_error_bound,
@@ -229,6 +230,46 @@ class TestEstimateCost:
             est = estimate(kind, o, np.ones(n), 0.1, N, RngStream(5, 1))
             assert o.eval_count == spec.evals_per_call(N)
             assert (est.f_center is not None) == spec.measures_center
+
+
+class TestEstimatorTable:
+    """Each row's ``sets`` is the block builder of its kind's directions."""
+
+    REFERENCE = {
+        "gsg": gaussian_directions,
+        "cgsg": gaussian_directions,
+        "liod": orthonormal_directions,
+        "ligd": gaussian_directions,
+        "fd": lambda n, N, stream: coordinate_directions(n),
+    }
+
+    @pytest.mark.parametrize("kind", list(ESTIMATORS))
+    def test_sets_are_the_per_set_draws(self, kind, monkeypatch):
+        """Per stream, a row's sets have the bytes, strides, kind and stream
+        of its per-set reference builder; fd's coordinate sets draw nothing."""
+        n = 5
+        N = n if ESTIMATORS[kind].interpolates else 7
+        streams = [RngStream(17, 1).child(k) for k in range(20)]  # past one QR block
+        expected = [self.REFERENCE[kind](n, N, s) for s in streams]
+        if kind == "fd":
+            def no_draw(*args):
+                raise AssertionError("coordinate sets drew from a stream")
+            monkeypatch.setattr(directions, "generators", no_draw)
+            monkeypatch.setattr(RngStream, "generator", no_draw)
+        sets = list(ESTIMATORS[kind].sets(n, N, streams))
+        assert len(sets) == len(expected)
+        for got, ref in zip(sets, expected):
+            assert got.Q.tobytes() == ref.Q.tobytes() and got.Q.strides == ref.Q.strides
+            assert got.kind == ref.kind and got.stream == ref.stream
+
+    @pytest.mark.parametrize("kind", ["gsg", "liod"])
+    def test_estimate_needs_an_rng_stream(self, kind):
+        """A bare int seed is the per-set builders' TypeError, before any
+        evaluation."""
+        o = linear_oracle([1.0, -2.0, 0.5])
+        with pytest.raises(TypeError, match="rng must be an RngStream"):
+            estimate(kind, o, np.ones(3), 0.1, 3, 5)
+        assert o.eval_count == 0
 
 
 class TestRelativeError:

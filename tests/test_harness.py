@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from dfoline import (
     get_function,
     interpolation_error,
 )
-from dfoline.estimators import UndefinedMetricError, estimate, relative_error
+from dfoline.estimators import ESTIMATORS, UndefinedMetricError, estimate, relative_error
 from dfoline.harness import cli, config
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
@@ -32,6 +33,7 @@ from dfoline.harness import runners
 from dfoline.harness.runners import (
     MAX_BUDGET,
     MAX_SAMPLE_SIZE,
+    MAX_SET_FLOATS,
     run_gradient_accuracy,
     run_optimization,
     run_verify_bounds,
@@ -637,8 +639,9 @@ class TestVerifyRunner:
             assert dirs.stream == RngStream(seed, 1)
         errors = [(seed, err) for seed, _, err in seen]
         seen.clear()
-        monkeypatch.setattr(runners, "direction_sets", lambda kind, n, N, streams: (
-            directions.orthonormal_directions(n, N, s) for s in streams))
+        monkeypatch.setitem(ESTIMATORS, "liod", dataclasses.replace(
+            ESTIMATORS["liod"], sets=lambda n, N, streams: (
+                directions.orthonormal_directions(n, N, s) for s in streams)))
         run_verify_bounds(cfg, str(tmp_path / "alone"))
         assert [(seed, err) for seed, _, err in seen] == errors
         blocks, alone = read_bytes_tree(tmp_path / "blocks"), read_bytes_tree(tmp_path / "alone")
@@ -827,6 +830,37 @@ class TestCli:
         path = self.write_cfg(tmp_path, cfg)
         assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "trace_quad_n5__ls__s0.csv").exists()
+
+    @pytest.mark.parametrize("name, est, n_factor, floats", [
+        ("sin_n100", "gsg", 10**7, 100_000_000_100),
+        ("quad_n5", "cgsg", 20_001, 1_000_050),
+    ], ids=["gsg_1e7", "cgsg_cap_plus_one"])
+    def test_direction_set_above_cap_exit_two(self, tmp_path, capsys, name, est, n_factor,
+                                              floats):
+        """A direction count whose evaluated points hold more than
+        MAX_SET_FLOATS floats exits 2, naming n_factors and the limit,
+        before any draw or file (a (1e9, 100) draw is 745 GiB)."""
+        cfg = {"experiment": "grad_accuracy", "functions": [name], "estimators": [est],
+               "sigmas": [1e-2], "trials": 1, "n_factors": [n_factor]}
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (f"n_factors {n_factor:,}: one {est} estimate on {name} evaluates {floats:,} "
+                f"floats, above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}") in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    def test_direction_set_at_cap_runs(self, tmp_path):
+        """cgsg at N = 100,000 on quad_n5 evaluates 2N points of 5 floats,
+        exactly MAX_SET_FLOATS; liod skips that factor, as it needs N = n."""
+        cfg = {"experiment": "grad_accuracy", "functions": ["quad_n5"],
+               "estimators": ["cgsg", "liod"], "sigmas": [1e-2], "trials": 1,
+               "n_factors": [20_000]}
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["grad-accuracy", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        _, rows = read_csv(str(tmp_path / "o" / "records.csv"))
+        assert [(r["estimator"], r["N"], r["evals"], r["status"]) for r in rows] == [
+            ("cgsg", "100000", "200000", "ok")]
+        assert 2 * 100_000 * 5 == MAX_SET_FLOATS
 
     @pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "set"])
     def test_blas_threads_of_a_run(self, tmp_path, monkeypatch, variable):

@@ -17,9 +17,12 @@ from dfoline import (
     EstimatorConfig,
     FixedStepConfig,
     LineSearchConfig,
+    LineSearchConstants,
     NoiseModel,
     Oracle,
     RngStream,
+    alpha_bar,
+    armijo_holds,
     corpus,
     get_function,
     interpolation_error,
@@ -135,3 +138,39 @@ def test_trace_status_agrees_with_records(name, kind, bound, estimator, sigma, s
     if trace.status == "converged":
         assert math.isfinite(last.phi)
         assert float(np.spacing(abs(last.f))) / sigma <= GRAD_NORM_TOL
+
+
+six = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(np.array)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(n=st.integers(1, 6), mu=st.floats(0.1, 1.0), ratio=st.floats(1.0, 100.0),
+       spread=six, point=six, direction=six, share=st.floats(0.0, 1.0), worst=st.booleans(),
+       theta=st.floats(0.0, 0.5, exclude_max=True), c1_share=st.floats(0.001, 0.999),
+       step_share=st.floats(1e-9, 1.0), eps_f=st.sampled_from([0.0, 1e-10, 1e-4, 1.0]),
+       noise=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_armijo_accepts_every_step_up_to_alpha_bar(n, mu, ratio, spread, point, direction,
+                                                   share, worst, theta, c1_share, step_share,
+                                                   eps_f, noise):
+    """On phi = x^T diag(lam) x / 2 with lam in [mu, L], an estimate g with
+    ||g - grad phi|| <= theta ||grad phi|| passes the relaxed Armijo test at
+    every alpha in (0, alpha_bar], whatever noise |eps| <= eps_f the values
+    at x and at x - alpha g carry (e = -theta grad phi included).  Only
+    round-off is forgiven."""
+    L = mu * ratio
+    lam = mu + (L - mu) * np.abs(spread[:n])
+    x = 10.0 * point[:n]
+    grad = lam * x
+    grad_norm = math.sqrt(grad @ grad)
+    d = direction[:n]
+    assume(grad_norm > 1e-6 and (worst or d @ d > 0.0))
+    e = -theta * grad if worst else share * theta * grad_norm * d / math.sqrt(d @ d)
+    g = grad + e
+    consts = LineSearchConstants(c1=c1_share * (1 - 2 * theta) / (1 - theta), tau=0.5,
+                                 theta=theta)
+    alpha = step_share * alpha_bar(consts, L)
+    trial = x - alpha * g
+    phi_x, phi_trial, g_sq = 0.5 * (x * lam) @ x, 0.5 * (trial * lam) @ trial, g @ g
+    roundoff = 1e-12 * (abs(phi_x) + abs(phi_trial) + alpha * g_sq)
+    assert armijo_holds(phi_x + eps_f * noise[0], phi_trial + eps_f * noise[1] - roundoff,
+                        alpha, g_sq, consts.c1, eps_f)

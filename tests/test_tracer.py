@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import dfoline.directions
 import dfoline.estimators
 import dfoline.optimizer
 from dfoline import (
@@ -44,6 +45,7 @@ def test_tracer_installs_counts_and_restores():
     with tracer.installed():
         oracle = Oracle(lambda X: X.sum(axis=1), 2, vectorized=True)
         estimate("gsg", oracle, np.zeros(2), 0.1, 2, RngStream(0, 1))
+        dfoline.directions.gaussian_directions(2, 2, RngStream(0, 1))
     totals = tracer.totals()
     assert totals["estimators.gsg.calls"] == 1
     assert totals["directions.gaussian_directions.calls"] == 1
@@ -77,7 +79,10 @@ def test_tracer_counts_minimize_and_backtracking(stepper, noise, counts):
 @pytest.mark.parametrize("kind, formula, stepper", [
     ("liod", "interpolation_gradient", LineSearchConfig(eps_f=1.0e-6)),
     ("gsg", "gsg", FixedStepConfig(alpha=0.02)),
-], ids=["liod_line_search", "gsg_fixed"])
+    ("cgsg", "cgsg", FixedStepConfig(alpha=0.02)),
+    ("ligd", "interpolation_gradient", LineSearchConfig(eps_f=1.0e-6)),
+    ("fd", "interpolation_gradient", FixedStepConfig(alpha=0.05)),
+], ids=["liod_line_search", "gsg_fixed", "cgsg_fixed", "ligd_line_search", "fd_fixed"])
 def test_tracer_sees_every_evaluation_and_estimate(kind, formula, stepper):
     """The benchmark counts evaluations at ``Oracle.evaluate_batch`` and
     checks them against the output files, and counts estimates at the

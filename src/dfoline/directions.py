@@ -84,8 +84,11 @@ def orthonormal_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
 
 
 def coordinate_sets(n: int, N: int, streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
-    """``coordinate_directions(n)`` for each stream; nothing is drawn."""
-    for _ in streams:
+    """``coordinate_directions(n)`` for each stream, checked to be an
+    :class:`~dfoline.core.RngStream`; nothing is drawn, and N must be n."""
+    if N != n:
+        raise ValueError(f"interpolation needs exactly N = n = {n} directions, got {N}")
+    for _ in map(_stream, streams):
         yield coordinate_directions(n)
 
 

@@ -28,13 +28,6 @@ from ..testfns import corpus
 from .config import ConfigError, load_config
 from .runners import run_gradient_accuracy, run_optimization, run_verify_bounds
 
-_EXPECTED_KIND = {
-    "grad-accuracy": "grad_accuracy",
-    "optimize": "optimize",
-    "verify-bounds": "verify_bounds",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfoline",
@@ -119,7 +112,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        expected = _EXPECTED_KIND[args.command]
+        expected = args.command.replace("-", "_")
         if cfg["experiment"] != expected:
             raise ConfigError(
                 f"subcommand {args.command} needs \"experiment\": \"{expected}\", "

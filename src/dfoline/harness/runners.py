@@ -71,6 +71,22 @@ def _functions(names) -> dict:
     return fns
 
 
+def _records(fn, noise: NoiseModel, seeds, kind=None, N=0):
+    """(seed, oracle, point generator, directions) for each record seed, from
+    the record's own streams, seeded in blocks: the oracle's noise from
+    ``RngStream(seed, 0)``, the point generator from stream 2, and from
+    stream 1 the record's set of N directions of ``ESTIMATORS[kind]`` or,
+    with no kind, the stream itself (``minimize`` draws from its children)."""
+    seeds = list(seeds)
+    dirs = [RngStream(seed, 1) for seed in seeds]
+    if kind is not None:
+        dirs = ESTIMATORS[kind].sets(fn.n, N, dirs)
+    noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
+    points = generators(RngStream(seed, 2) for seed in seeds)
+    for seed, noise_rng, point, d in zip(seeds, noise_rngs, points, dirs):
+        yield seed, fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng), point, d
+
+
 #: Most floats in the points one grad-accuracy estimate evaluates: n per point.
 MAX_SET_FLOATS = 1_000_000
 
@@ -80,7 +96,8 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
 
     Emits one row per trial into records.csv plus one row per
     (function, estimator, sigma, N) group into summary.csv with the mean and
-    quartiles of log10 theta.  Interpolation estimators are pinned to N = n,
+    quartiles of log10 theta, as the group's trials end (a value listed twice
+    runs its groups twice).  Interpolation estimators are pinned to N = n,
     so direction-count factors other than 1 apply only to gsg/cgsg.  A trial
     whose estimate raises a runtime failure is recorded as "failed", with its
     replay seed and no theta, and counted in its group's "failed" column.
@@ -102,59 +119,37 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
         if (floats := ESTIMATORS[est].evals_per_call(nf * n) * n) > MAX_SET_FLOATS:
             raise ConfigError(f"n_factors {nf:,}: one {est} estimate on {fname} evaluates "
                               f"{floats:,} floats, above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}")
-    rows = []
+    rows, summaries = [], []
     for fname, est, sigma, nf in combos:
         fn = fns[fname]
         N = nf * fn.n
+        head = {"experiment_id": exp_id, "function": fname, "n": fn.n,
+                "estimator": est, "method": "", "N": N, "sigma": sigma}
         seeds = [record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
                  for trial in range(cfg["trials"])]
-        noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
-        points = generators(RngStream(seed, 2) for seed in seeds)
-        sets = ESTIMATORS[est].sets(fn.n, N, (RngStream(seed, 1) for seed in seeds))
-        for trial, seed in enumerate(seeds):
-            oracle = fn.oracle(dataclasses.replace(noise, seed=seed), next(noise_rngs))
-            if cfg["eval_point"] == "origin":
-                x = np.zeros(fn.n)
-            else:
-                x = next(points).uniform(-2.0, 2.0, fn.n)
-            row = {
-                "experiment_id": exp_id, "function": fname, "n": fn.n,
-                "estimator": est, "method": "", "N": N, "sigma": sigma,
-                "trial": trial, "seed": seed, "theta": None, "log10_theta": None,
-                "status": "ok",
-            }
+        group = []
+        for trial, (seed, oracle, point, dirs) in enumerate(_records(fn, noise, seeds, est, N)):
+            x = np.zeros(fn.n) if cfg["eval_point"] == "origin" else point.uniform(-2.0, 2.0, fn.n)
+            row = {**head, "trial": trial, "seed": seed, "theta": None, "log10_theta": None,
+                   "status": "ok"}
             try:
-                result = estimate_on(est, oracle, x, sigma, next(sets))
+                result = estimate_on(est, oracle, x, sigma, dirs)
                 theta = relative_error(result.g, fn.gradient(x))
                 row.update(theta=theta, log10_theta=math.log10(theta) if theta > 0 else None)
             except UndefinedMetricError:
                 row["status"] = "skipped"
             except DFOError:
                 row["status"] = "failed"
-            rows.append({**row, "evals": oracle.eval_count})
-
-    groups: dict[tuple, list] = {}
-    for row in rows:
-        groups.setdefault(
-            (row["function"], row["estimator"], row["sigma"], row["N"]), []
-        ).append(row)
-    summaries = []
-    for (fname, est, sigma, N), group in groups.items():
+            group.append({**row, "evals": oracle.eval_count})
+        rows += group
         logs = [r["log10_theta"] for r in group if r["log10_theta"] is not None]
-        summary = {
-            "experiment_id": exp_id, "function": fname, "n": fns[fname].n,
-            "estimator": est, "method": "", "N": N, "sigma": sigma, "count": len(logs),
-            "skipped": sum(r["status"] == "skipped" for r in group),
-            "failed": sum(r["status"] == "failed" for r in group),
-        }
+        summary = {**head, "count": len(logs),
+                   "skipped": sum(r["status"] == "skipped" for r in group),
+                   "failed": sum(r["status"] == "failed" for r in group)}
         if logs:
             q1, med, q3 = np.percentile(logs, [25.0, 50.0, 75.0])
-            summary.update(
-                mean_log10_theta=float(np.mean(logs)),
-                q1_log10_theta=float(q1),
-                median_log10_theta=float(med),
-                q3_log10_theta=float(q3),
-            )
+            summary.update(mean_log10_theta=float(np.mean(logs)), q1_log10_theta=float(q1),
+                           median_log10_theta=float(med), q3_log10_theta=float(q3))
         summaries.append(summary)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -170,14 +165,14 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     }
 
 
-def _resolve_x0(choice, n: int, stream: RngStream) -> np.ndarray:
+def _resolve_x0(choice, n: int, point: np.random.Generator) -> np.ndarray:
     if isinstance(choice, list):
         return np.asarray(choice, dtype=float)
     if choice == "origin":
         return np.zeros(n)
     if choice == "ones":
         return np.ones(n)
-    return stream.generator().uniform(-2.0, 2.0, n)
+    return point.uniform(-2.0, 2.0, n)
 
 
 def _mean(a: np.ndarray) -> float:
@@ -248,11 +243,10 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
     for (fname, mname), (est_cfg, stepper) in configs.items():
         fn = fns[fname]
         traces = []
-        for seed in cfg["seeds"]:
-            run_seed = record_seed(cfg["seed"], exp_id, fname, mname, seed)
-            oracle = fn.oracle(dataclasses.replace(noise, seed=run_seed))
-            x0 = _resolve_x0(x0_spec, fn.n, RngStream(run_seed, 2))
-            trace = minimize(oracle, x0, est_cfg, stepper, budget, RngStream(run_seed, 1))
+        run_seeds = [record_seed(cfg["seed"], exp_id, fname, mname, s) for s in cfg["seeds"]]
+        for seed, (_, oracle, point, stream) in zip(cfg["seeds"], _records(fn, noise, run_seeds)):
+            x0 = _resolve_x0(x0_spec, fn.n, point)
+            trace = minimize(oracle, x0, est_cfg, stepper, budget, stream)
             path = os.path.join(out_dir, f"trace_{fname}__{mname}__s{seed}.csv")
             # each record's fields by name; TRACE_COLUMNS picks the columns
             write_csv(path, TRACE_COLUMNS, [vars(r) for r in trace.records], cfg_hash)
@@ -318,11 +312,7 @@ def _check_interpolation_bound(cfg, root, noise) -> dict:
         bound = interpolation_error_bound(
             sigma, fn.n, dataclasses.replace(fn.constants, eps_f=declared))
         seeds = [record_seed(root, "interp", fname, repr(sigma), t) for t in range(per)]
-        noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
-        dir_sets = ESTIMATORS["liod"].sets(fn.n, fn.n, (RngStream(seed, 1) for seed in seeds))
-        points = generators(RngStream(seed, 2) for seed in seeds)
-        for seed, noise_rng, dirs, point in zip(seeds, noise_rngs, dir_sets, points):
-            oracle = fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng)
+        for seed, oracle, point, dirs in _records(fn, noise, seeds, "liod", fn.n):
             x = point.uniform(-2.0, 2.0, fn.n)
             err = interpolation_error(oracle, x, sigma, dirs)
             witness = {"function": fname, "sigma": sigma, "seed": seed,
@@ -404,9 +394,7 @@ def _check_armijo_guarantee(cfg, root, noise) -> dict:
     eta_val = eta(c, fn.constants.L)
     cases = []
     seeds = [record_seed(root, "armijo", t) for t in range(trials)]
-    noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
-    gens = generators(RngStream(seed, 2) for seed in seeds)
-    for t, (seed, noise_rng, gen) in enumerate(zip(seeds, noise_rngs, gens)):
+    for t, (_, oracle, gen, _) in enumerate(_records(fn, noise, seeds)):
         x = gen.uniform(-2.0, 2.0, fn.n)
         grad = fn.gradient(x)
         grad_norm = float(np.linalg.norm(grad))
@@ -416,7 +404,6 @@ def _check_armijo_guarantee(cfg, root, noise) -> dict:
         e = gen.standard_normal(fn.n)
         e *= theta * grad_norm * gen.random() / np.linalg.norm(e)
         g = grad + e
-        oracle = fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng)
         # any step at or below alpha_bar must pass the relaxed test
         alpha = abar * gen.random()
         f_curr = oracle.evaluate(x)
@@ -441,12 +428,13 @@ def _check_noise_bound(cfg, root, noise) -> dict:
     declared = cfg["declared_eps_f"]
     trials = cfg["trials"]
     fn = get_function("sin_n10")
-    seed = record_seed(root, "noise")
-    oracle = fn.oracle(dataclasses.replace(noise, seed=seed))
-    X = RngStream(seed, 2).generator().uniform(-2.0, 2.0, (trials, fn.n))
+    seed, oracle, point, _ = next(_records(fn, noise, [record_seed(root, "noise")]))
+    X = point.uniform(-2.0, 2.0, (trials, fn.n))
     eps = np.abs(oracle.evaluate_batch(X) - fn.value(X))
-    worst = float(np.max(eps))
-    witness = {"x": X[int(np.argmax(eps))].tolist(), "abs_eps": worst, "declared_eps_f": declared}
+    row = int(np.argmax(eps))
+    worst = float(eps[row])
+    witness = {"seed": seed, "row": row, "x": X[row].tolist(), "abs_eps": worst,
+               "declared_eps_f": declared}
     return _worst_case(
         "noise_bound", [((declared - worst) / declared if declared > 0 else -worst,
                          witness if worst > declared + 1.0e-15 else None)],

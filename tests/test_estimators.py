@@ -262,13 +262,22 @@ class TestEstimatorTable:
             assert got.Q.tobytes() == ref.Q.tobytes() and got.Q.strides == ref.Q.strides
             assert got.kind == ref.kind and got.stream == ref.stream
 
-    @pytest.mark.parametrize("kind", ["gsg", "liod"])
+    @pytest.mark.parametrize("kind", ["gsg", "liod", "fd"])
     def test_estimate_needs_an_rng_stream(self, kind):
         """A bare int seed is the per-set builders' TypeError, before any
         evaluation."""
         o = linear_oracle([1.0, -2.0, 0.5])
         with pytest.raises(TypeError, match="rng must be an RngStream"):
             estimate(kind, o, np.ones(3), 0.1, 3, 5)
+        assert o.eval_count == 0
+
+    @pytest.mark.parametrize("kind", ["liod", "ligd", "fd"])
+    def test_interpolation_needs_n_directions(self, kind):
+        """Every interpolation kind rejects N != n before any evaluation; fd
+        draws nothing, and still checks N."""
+        o = linear_oracle([1.0, -2.0, 0.5])
+        with pytest.raises(ValueError, match="interpolation needs exactly N = n = 3"):
+            estimate(kind, o, np.ones(3), 0.1, 2, RngStream(5, 1))
         assert o.eval_count == 0
 
 

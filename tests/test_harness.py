@@ -92,8 +92,16 @@ def opt_cfg(**overrides):
 
 
 def check_noise_witness(witness, noise):
+    """The witness's seed and row give its |f - phi| again, exactly: the
+    check's points are draws of RngStream(seed, 2) evaluated in one batch on
+    a fresh oracle, and the first row + 1 of them replay its row."""
+    fn = get_function("sin_n10")
+    seed, row = witness["seed"], witness["row"]
+    oracle = fn.oracle(NoiseModel(noise["kind"], noise["bound"], seed=seed))
+    X = RngStream(seed, 2).generator().uniform(-2.0, 2.0, (row + 1, fn.n))
+    assert abs(oracle.evaluate_batch(X) - fn.value(X))[row] == witness["abs_eps"]
+    assert X[row].tolist() == witness["x"]
     assert witness["abs_eps"] > witness["declared_eps_f"]
-    assert len(witness["x"]) >= 1
 
 
 def replay_interpolation_witness(witness, noise):
@@ -512,6 +520,24 @@ class TestOptimizationRunner:
         with pytest.raises(ConfigError, match="unique"):
             run_optimization(cfg, str(tmp_path))
 
+    def test_first_row_is_the_runs_own_point_and_noise(self, tmp_path):
+        """A random x0 is the first uniform(-2, 2, n) draw of RngStream(run
+        seed, 2), and the first value the oracle measures there carries the
+        first uniform draw of RngStream(run seed, 0) as its noise."""
+        bound = 1.0e-3
+        cfg = opt_cfg(x0="random", methods=opt_cfg()["methods"][:1], seeds=[0, 1, 2],
+                      budget=200, noise={"kind": "uniform", "bound": bound}, seed=9)
+        run_optimization(cfg, str(tmp_path))
+        fn = get_function("quad_n10")
+        for seed in cfg["seeds"]:
+            run_seed = record_seed(9, "opt-test", "quad_n10", "liod_ls", seed)
+            x0 = RngStream(run_seed, 2).generator().uniform(-2.0, 2.0, fn.n)
+            u = RngStream(run_seed, 0).generator().random()
+            _, rows = read_csv(str(tmp_path / f"trace_quad_n10__liod_ls__s{seed}.csv"))
+            phi = float(fn.value(x0))
+            assert float(rows[0]["phi"]) == phi
+            assert float(rows[0]["f"]) == phi + bound * (2.0 * u - 1.0)
+
     def test_trace_rows_match_iteration_count(self, tmp_path):
         res = run_optimization(opt_cfg(seeds=[0]), str(tmp_path))
         for path in res["traces"]:
@@ -905,9 +931,15 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_subcommand_config_kind_mismatch(self, tmp_path, capsys):
-        path = self.write_cfg(tmp_path, grad_cfg(trials=5))
-        assert main(["optimize", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert "optimize" in capsys.readouterr().err
+        """Each subcommand names the experiment it needs, byte for byte."""
+        for command, expected, cfg in [("optimize", "optimize", grad_cfg(trials=5)),
+                                       ("grad-accuracy", "grad_accuracy", opt_cfg()),
+                                       ("verify-bounds", "verify_bounds", opt_cfg())]:
+            path = self.write_cfg(tmp_path, cfg)
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: subcommand {command} needs \"experiment\": \"{expected}\", "
+                f"config declares {cfg['experiment']!r}\n")
 
     def test_failed_verification_exit_three(self, tmp_path, capsys):
         cfg = {

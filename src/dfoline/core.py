@@ -205,6 +205,8 @@ class Oracle:
     whose seed sequence names that stream is a ValueError.  Uniform and
     adversarial_sign noise is drawn ahead, up to NOISE_BLOCK values at once,
     with the values one draw per call gives; the oracle owns its generator.
+    A batch's memory order can change phi's last bits: the presets sum each
+    row of an F-ordered batch, such as liod's probes, one term at a time.
     """
 
     def __init__(

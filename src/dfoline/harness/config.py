@@ -59,7 +59,7 @@ _COMMON = {
     "experiment_id": {"type": "string", "minLength": 1},
     "seed": {"type": "integer", "minimum": 0, "default": 0},
 }
-_FUNCTIONS = {"type": "array", "items": {"type": "string"}, "minItems": 1}
+_FUNCTIONS = {"type": "array", "items": {"type": "string"}, "minItems": 1, "uniqueItems": True}
 _SIGMAS = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1}
 
 
@@ -87,10 +87,11 @@ def _schemas() -> dict:
         "grad_accuracy": _experiment(
             "grad_accuracy", ["functions", "estimators", "sigmas", "trials"],
             functions=_FUNCTIONS,
-            estimators={"type": "array", "items": {"enum": list(ESTIMATORS)}, "minItems": 1},
-            sigmas=_SIGMAS,
+            estimators={"type": "array", "items": {"enum": list(ESTIMATORS)}, "minItems": 1,
+                        "uniqueItems": True},
+            sigmas={**_SIGMAS, "uniqueItems": True},
             n_factors={"type": "array", "items": {"type": "integer", "minimum": 1},
-                       "minItems": 1, "default": [1]},
+                       "minItems": 1, "uniqueItems": True, "default": [1]},
             trials={"type": "integer", "minimum": 1},
             noise=_NO_NOISE,
             eval_point={"enum": ["random", "origin"], "default": "random"},
@@ -100,7 +101,7 @@ def _schemas() -> dict:
             functions=_FUNCTIONS,
             methods={"type": "array", "items": method, "minItems": 1},
             seeds={"type": "array", "items": {"type": "integer", "minimum": 0},
-                   "minItems": 1, "default": [0, 1, 2]},
+                   "minItems": 1, "uniqueItems": True, "default": [0, 1, 2]},
             budget={"type": "integer"},
             noise=_NO_NOISE,
             x0={"anyOf": [{"enum": ["random", "origin", "ones"]},
@@ -136,6 +137,7 @@ _PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
 _KEYWORDS = {"type": None, "const": None, "enum": None, "anyOf": None, "default": None,
              "minimum": "number", "exclusiveMinimum": "number", "exclusiveMaximum": "number",
              "minLength": "string", "pattern": "string", "minItems": "array", "items": "array",
+             "uniqueItems": "array",
              "required": "object", "additionalProperties": "object", "properties": "object"}
 
 
@@ -164,6 +166,8 @@ def _errors(value, schema: dict, path: str):
             yield path, f"{value!r} is shorter than {arg}"
         elif key == "pattern" and not re.search(arg, value):
             yield path, f"{value!r} does not match {arg!r}"
+        elif key == "uniqueItems" and arg and any(v in value[:i] for i, v in enumerate(value)):
+            yield path, f"{value!r} has non-unique elements"
         elif key == "items":
             for i, item in enumerate(value):
                 yield from _errors(item, arg, f"{path}/{i}")

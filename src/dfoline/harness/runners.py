@@ -87,8 +87,10 @@ def _records(fn, noise: NoiseModel, seeds, kind=None, N=0):
         yield seed, fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng), point, d
 
 
-#: Most floats in the points one grad-accuracy estimate evaluates: n per point.
+#: Most floats in one array that a record or check draws or evaluates at once.
 MAX_SET_FLOATS = 1_000_000
+#: The function the noise_bound check samples; the largest n of gsg_variance_domination.
+_NOISE_FUNCTION, _VARIANCE_MAX_N = "sin_n10", 8
 
 
 def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
@@ -96,13 +98,12 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
 
     Emits one row per trial into records.csv plus one row per
     (function, estimator, sigma, N) group into summary.csv with the mean and
-    quartiles of log10 theta, as the group's trials end (a value listed twice
-    runs its groups twice).  Interpolation estimators are pinned to N = n,
-    so direction-count factors other than 1 apply only to gsg/cgsg.  A trial
-    whose estimate raises a runtime failure is recorded as "failed", with its
-    replay seed and no theta, and counted in its group's "failed" column.
-    An N whose estimate would evaluate more than MAX_SET_FLOATS floats is a
-    ConfigError before the first record.
+    quartiles of log10 theta, as the group's trials end.  Interpolation
+    estimators are pinned to N = n, so direction-count factors other than 1
+    apply only to gsg/cgsg.  A trial whose estimate raises a runtime failure
+    is recorded as "failed", with its replay seed and no theta, and counted
+    in its group's "failed" column.  An N whose estimate would evaluate more
+    than MAX_SET_FLOATS floats is a ConfigError before the first record.
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
@@ -175,12 +176,6 @@ def _resolve_x0(choice, n: int, point: np.random.Generator) -> np.ndarray:
     return point.uniform(-2.0, 2.0, n)
 
 
-def _mean(a: np.ndarray) -> float:
-    """``np.mean`` of a short float vector by its own steps, NaN included,
-    without its per-call overhead."""
-    return float(np.add.reduce(a) / len(a))
-
-
 def _method_configs(method: dict, fname: str, fn, noise_bound: float, budget: int):
     """The estimator and stepper configs of one method on the function the
     config names ``fname``.
@@ -206,6 +201,23 @@ def _method_configs(method: dict, fname: str, fn, noise_bound: float, budget: in
 
 #: Most oracle evaluations one optimize run may spend; a trace keeps every iterate.
 MAX_BUDGET = 1_000_000
+
+
+def _envelope(fname: str, mname: str, columns: list) -> list:
+    """The aggregate rows of one (function, method) from each seed's (phi,
+    grad_norm_true, evals) by k, to np.mean's, np.min's and np.max's bits:
+    per k, the seeds reaching it, in order, are a contiguous row to reduce."""
+    rows, lo = [], 0
+    for hi in sorted({len(c) for c in columns}):
+        block = np.stack([c[lo:hi] for c in columns if len(c) >= hi], axis=-1)
+        seeds = block.shape[-1]
+        phi, grad, evals = (np.add.reduce(block, axis=-1) / seeds).T.tolist()
+        low, high = (u.reduce(block[:, 0], axis=-1).tolist() for u in (np.minimum, np.maximum))
+        rows += [{"function": fname, "method": mname, "k": k, "n_seeds": seeds, "phi_mean": m,
+                  "phi_min": a, "phi_max": b, "grad_norm_true_mean": g, "evals_mean": e}
+                 for k, m, a, b, g, e in zip(range(lo, hi), phi, low, high, grad, evals)]
+        lo = hi
+    return rows
 
 
 def run_optimization(cfg: dict, out_dir: str) -> dict:
@@ -242,7 +254,7 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
     trace_paths, agg_rows, statuses, details = [], [], {}, {}
     for (fname, mname), (est_cfg, stepper) in configs.items():
         fn = fns[fname]
-        traces = []
+        columns = []
         run_seeds = [record_seed(cfg["seed"], exp_id, fname, mname, s) for s in cfg["seeds"]]
         for seed, (_, oracle, point, stream) in zip(cfg["seeds"], _records(fn, noise, run_seeds)):
             x0 = _resolve_x0(x0_spec, fn.n, point)
@@ -253,20 +265,10 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
             trace_paths.append(path)
             run = f"{fname}/{mname}/s{seed}"
             statuses[run], details[run] = trace.status, trace.detail
-            traces.append(trace)
-
-        for k in range(max(len(t.records) for t in traces)):
-            recs = [t.records[k] for t in traces if len(t.records) > k]
-            phis = np.array([r.phi for r in recs])
-            agg_rows.append({
-                "function": fname, "method": mname, "k": k,
-                "n_seeds": len(recs),
-                "phi_mean": _mean(phis),
-                "phi_min": float(np.minimum.reduce(phis)),
-                "phi_max": float(np.maximum.reduce(phis)),
-                "grad_norm_true_mean": _mean(np.array([r.grad_norm_true for r in recs])),
-                "evals_mean": _mean(np.array([r.evals for r in recs], dtype=float)),
-            })
+            columns.append(np.fromiter(((r.phi, r.grad_norm_true, r.evals) for r in trace.records),
+                                       (float, 3), len(trace.records)))
+            del trace  # before the next run starts
+        agg_rows += _envelope(fname, mname, columns)
     agg_path = os.path.join(out_dir, "aggregate.csv")
     write_csv(agg_path, AGGREGATE_COLUMNS, agg_rows, cfg_hash)
     return {"traces": trace_paths, "aggregate": agg_path,
@@ -326,7 +328,7 @@ def _check_interpolation_bound(cfg, root, noise) -> dict:
 def _check_variance_domination(cfg, root, noise) -> dict:
     reps = cfg["variance_reps"]
     cases, details = [], []
-    for n in [n for n in cfg["dimensions"] if n <= 8]:
+    for n in [n for n in cfg["dimensions"] if n <= _VARIANCE_MAX_N]:
         a = RngStream(record_seed(root, "var", n), 3).generator().standard_normal(n)
         a_norm = float(np.linalg.norm(a))
         for N in (1, 4):
@@ -427,7 +429,7 @@ def _check_armijo_guarantee(cfg, root, noise) -> dict:
 def _check_noise_bound(cfg, root, noise) -> dict:
     declared = cfg["declared_eps_f"]
     trials = cfg["trials"]
-    fn = get_function("sin_n10")
+    fn = get_function(_NOISE_FUNCTION)
     seed, oracle, point, _ = next(_records(fn, noise, [record_seed(root, "noise")]))
     X = point.uniform(-2.0, 2.0, (trials, fn.n))
     eps = np.abs(oracle.evaluate_batch(X) - fn.value(X))
@@ -466,6 +468,12 @@ def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
     cfg = with_defaults(cfg)
     noise = _noise_model(cfg)
     cfg.setdefault("declared_eps_f", noise.bound)
+    small = [n for n in cfg["dimensions"] if n <= _VARIANCE_MAX_N]
+    for check, key, n in [("noise_bound", "trials", get_function(_NOISE_FUNCTION).n),
+                          ("gsg_variance_domination", "variance_reps", max(small, default=0))]:
+        if check in cfg["checks"] and (floats := cfg[key] * n) > MAX_SET_FLOATS:
+            raise ConfigError(f"{key} {cfg[key]:,}: {check} draws {floats:,} floats at once, "
+                              f"above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}")
     results = []
     for name in cfg["checks"]:
         try:

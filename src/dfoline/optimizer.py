@@ -26,6 +26,8 @@ from .core import DFOError, Oracle, RngStream, as_point
 from .estimators import ESTIMATORS, _norm, estimate_on
 
 GRAD_NORM_TOL = 1.0e-12
+#: Iterates that minimize instruments at once; their estimates are freed then.
+INSTRUMENT_BLOCK = 256
 
 
 class StallError(DFOError):
@@ -289,10 +291,11 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
 
 
-def _instrument(oracle: Oracle, xs: list, gs: list) -> tuple[list, list, list]:
-    """(phi, ||grad phi||, theta_k) at each iterate xs[i], whose estimate is
-    gs[i] or None, using uncounted instrumentation.  A vectorized phi gets
-    one C-ordered stack, whose rows it must treat as it treats one row."""
+def _instrument(oracle: Oracle, rows: list, records: list) -> None:
+    """Move each of ``rows``, (x, f, g or None, ||g||, alpha, evals, status),
+    to ``records`` with phi, ||grad phi|| and theta_k, measured uncounted.  A
+    vectorized phi gets one C-ordered stack and must treat each row alone."""
+    xs, fs, gs, g_norms, alphas, evals, statuses = zip(*rows)
     if oracle.vectorized:
         phis = np.asarray(oracle.phi(np.array(xs)), dtype=float).tolist()
     else:
@@ -304,7 +307,9 @@ def _instrument(oracle: Oracle, xs: list, gs: list) -> tuple[list, list, list]:
         G = np.array([np.full(oracle.dimension, math.nan) if g is None else g for g in gs])
         errors = np.sqrt(_sq_norms(G - grads)).tolist()
         thetas = [e / gn if gn > 0 else math.nan for e, gn in zip(errors, grad_norms)]
-    return phis, grad_norms, thetas
+    records.extend(IterationRecord(k, *row) for k, row in enumerate(zip(
+        xs, fs, phis, grad_norms, g_norms, alphas, thetas, evals, statuses), len(records)))
+    rows.clear()
 
 
 def minimize(
@@ -325,10 +330,12 @@ def minimize(
     The trace gains one record per iterate including the final one, and ends
     "converged", "budget_exhausted", "noise_floor", or "failed" (see
     ``trace.detail``).  A :class:`DFOError` raised inside the loop ends the
-    run "failed" with the exception text; it is never lost.  A vanishing
-    estimate counts as convergence only when sigma can resolve a gradient of
-    that size, that is when spacing(|f(x)|) / sigma <= GRAD_NORM_TOL;
-    otherwise the differences were lost to rounding and the run has failed.
+    run "failed" with the exception text; it is never lost.  Each
+    INSTRUMENT_BLOCK iterates are instrumented as the loop reaches them, and
+    an error there propagates.  A vanishing estimate counts as convergence
+    only when sigma can resolve a gradient of that size, that is when
+    spacing(|f(x)|) / sigma <= GRAD_NORM_TOL; otherwise the differences were
+    lost to rounding and the run has failed.
     """
     x = as_point(x0, oracle.dimension).copy()
     n = oracle.dimension
@@ -347,61 +354,60 @@ def minimize(
 
     extra = 1 if isinstance(stepper, LineSearchConfig) else 0
     extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart
-    rows = []  # (x, f, g, ||g||, alpha, evals, status) per iterate, instrumented at the end
+    rows, records = [], []  # rows: (x, f, g, ||g||, alpha, evals, status) to instrument
 
     def iterate():
-        """Run the loop, appending each iterate but the last to ``rows``;
-        return the status, the detail and the last iterate's (f, g, ||g||)
-        when they were measured."""
+        """Run the loop until INSTRUMENT_BLOCK iterates wait in ``rows``
+        (None) or the run ends: its status, detail and the last iterate's
+        (f, g, ||g||) when they were measured."""
         nonlocal x
-        while True:
-            if oracle.eval_count + est_cost + extra > budget:
-                return "budget_exhausted", "", None
+        try:
+            while len(rows) < INSTRUMENT_BLOCK:
+                if oracle.eval_count + est_cost + extra > budget:
+                    return "budget_exhausted", "", None
 
-            sigma = estimator.sigma
-            if estimator.adaptive:
-                grad_norm_here = _norm(np.asarray(oracle.grad_phi(x), dtype=float))
+                sigma = estimator.sigma
+                if estimator.adaptive:
+                    grad_norm_here = _norm(np.asarray(oracle.grad_phi(x), dtype=float))
+                    try:
+                        lo, hi = sigma_range(estimator.theta, grad_norm_here, n, estimator.constants)
+                    except NoFeasibleSigmaError as exc:
+                        return "noise_floor", str(exc), None
+                    sigma = 0.5 * (lo + hi)
+                    if sigma <= 0:
+                        return "noise_floor", "accuracy window collapsed to zero radius", None
+
+                est = estimate_on(estimator.kind, oracle, x, sigma, next(sets))
+                f_k = est.f_center if est.f_center is not None else oracle.evaluate(x)
+                g = est.g
+                g_norm = _norm(g)
+                measured = (f_k, g, g_norm)
+
+                if g_norm <= GRAD_NORM_TOL:
+                    resolution = float(np.spacing(abs(f_k))) / sigma
+                    if resolution <= GRAD_NORM_TOL:
+                        return "converged", "", measured
+                    return "failed", (
+                        f"sampling radius sigma={sigma:.3e} is lost to rounding at "
+                        f"||x||={np.linalg.norm(x):.3e}, f={f_k:.3e}: the estimate "
+                        f"vanished but cannot resolve a gradient below {resolution:.3e}"
+                    ), measured
+
                 try:
-                    lo, hi = sigma_range(estimator.theta, grad_norm_here, n, estimator.constants)
-                except NoFeasibleSigmaError as exc:
-                    return "noise_floor", str(exc), None
-                sigma = 0.5 * (lo + hi)
-                if sigma <= 0:
-                    return "noise_floor", "accuracy window collapsed to zero radius", None
+                    x_next, alpha = step(oracle, x, g, f_k, budget - oracle.eval_count)
+                except StallError as exc:
+                    status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
+                    return status, str(exc), measured
 
-            est = estimate_on(estimator.kind, oracle, x, sigma, next(sets))
-            f_k = est.f_center if est.f_center is not None else oracle.evaluate(x)
-            g = est.g
-            g_norm = _norm(g)
-            measured = (f_k, g, g_norm)
+                rows.append((x, f_k, g, g_norm, alpha, oracle.eval_count, "ok"))
+                x = x_next
+        except DFOError as exc:
+            return "failed", str(exc), None
 
-            if g_norm <= GRAD_NORM_TOL:
-                resolution = float(np.spacing(abs(f_k))) / sigma
-                if resolution <= GRAD_NORM_TOL:
-                    return "converged", "", measured
-                return "failed", (
-                    f"sampling radius sigma={sigma:.3e} is lost to rounding at "
-                    f"||x||={np.linalg.norm(x):.3e}, f={f_k:.3e}: the estimate "
-                    f"vanished but cannot resolve a gradient below {resolution:.3e}"
-                ), measured
-
-            try:
-                x_next, alpha = step(oracle, x, g, f_k, budget - oracle.eval_count)
-            except StallError as exc:
-                status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
-                return status, str(exc), measured
-
-            rows.append((x, f_k, g, g_norm, alpha, oracle.eval_count, "ok"))
-            x = x_next
-
-    try:
-        status, detail, measured = iterate()
-    except DFOError as exc:
-        status, detail, measured = "failed", str(exc), None
+    while (end := iterate()) is None:
+        _instrument(oracle, rows, records)  # outside the loop's try: its errors propagate
+    status, detail, measured = end
     f, g, g_norm = measured or (math.nan, None, math.nan)
     rows.append((x, f, g, g_norm, math.nan, oracle.eval_count, status))
-    xs, fs, gs, g_norms, alphas, evals, statuses = zip(*rows)
-    phis, grad_norms, thetas = _instrument(oracle, xs, gs)
-    records = [IterationRecord(k, *row) for k, row in enumerate(zip(
-        xs, fs, phis, grad_norms, g_norms, alphas, thetas, evals, statuses))]
+    _instrument(oracle, rows, records)
     return OptimizationTrace(records, status, detail)

@@ -10,6 +10,7 @@ import pathlib
 import random
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -182,6 +183,7 @@ KEYWORD_CASES = {
     "minLength": ({"minLength": 1}, "", []),
     "pattern": ({"pattern": "^a$"}, "ab", 1),
     "minItems": ({"minItems": 1}, [], ""),
+    "uniqueItems": ({"uniqueItems": True}, [0.01, 1, 1.0], "aa"),
     "items": ({"items": {"type": "string"}}, ["a", 1], {"0": 1}),
     "required": ({"required": ["a"]}, {"b": 1}, ["b"]),
     "additionalProperties": ({"additionalProperties": False, "properties": {}}, {"a": 1}, ["a"]),
@@ -202,14 +204,15 @@ def mutate(rng: random.Random, cfg, pool: list, keys: list):
     """``cfg`` after one random edit of a random object or array in it: an
     int made the same float, a value replaced by one from ``pool``, an entry
     dropped, or an entry added (a key from ``keys`` with a value from
-    ``pool`` in an object, a value from ``pool`` in an array)."""
+    ``pool`` in an object; in an array a value from ``pool`` or, for a
+    "repeat", one of its own entries)."""
     nodes = [cfg]
     for node in nodes:
         nodes.extend(v for v in (node.values() if isinstance(node, dict) else node)
                      if isinstance(v, (dict, list)))
     node = rng.choice(nodes)
     index = list(node) if isinstance(node, dict) else range(len(node))
-    edit = rng.choice(["float", "replace", "drop", "add"] if index else ["add"])
+    edit = rng.choice(["float", "replace", "drop", "add", "repeat"] if index else ["add"])
     if edit in ("float", "replace"):
         k = rng.choice(index)
         node[k] = (float(node[k]) if edit == "float" and isinstance(node[k], int)
@@ -219,7 +222,7 @@ def mutate(rng: random.Random, cfg, pool: list, keys: list):
     elif isinstance(node, dict):
         node[rng.choice(keys)] = copy.deepcopy(rng.choice(pool))
     else:
-        node.append(copy.deepcopy(rng.choice(pool)))
+        node.append(copy.deepcopy(rng.choice(node if edit == "repeat" else pool)))
     return cfg
 
 
@@ -316,7 +319,8 @@ class TestConfigValidation:
         """On seeded mutations of the benchmark, README and default verify
         configs, the walker accepts exactly what jsonschema's Draft 2020-12
         validator accepts, except an integral float at an integer key, which
-        only the walker rejects."""
+        only the walker rejects.  Some mutations repeat a list's item, which
+        both reject where the list's items must be unique."""
         jsonschema = pytest.importorskip("jsonschema")
         schemas = config._schemas()
         reference = {kind: jsonschema.Draft202012Validator(schema)
@@ -332,7 +336,7 @@ class TestConfigValidation:
                 1e-308, 5e-324, 1.7e308, -1.7e308, "", "m 1", *words,
                 [], [1], [2.0], [0.1], ["gsg"], {}, {"kind": "none"}]
         rng = random.Random(12)
-        counts = {"both valid": 0, "both invalid": 0, "integral float": 0}
+        counts = {"both valid": 0, "both invalid": 0, "integral float": 0, "repeat": 0}
         for trial in range(3000):
             base = bases[trial % len(bases)]
             cfg = json.loads(json.dumps(base))
@@ -342,6 +346,7 @@ class TestConfigValidation:
             errors = list(config._errors(cfg, schema, ""))
             if reference[base["experiment"]].is_valid(cfg) == (not errors):
                 counts["both valid" if not errors else "both invalid"] += 1
+                counts["repeat"] += any(m.endswith("non-unique elements") for _, m in errors)
             else:
                 assert errors and all(m.endswith("is not of type 'integer'") for _, m in errors), cfg
                 assert not list(config._errors(integral_floats_as_ints(cfg), schema, "")), cfg
@@ -475,25 +480,46 @@ class TestOptimizationRunner:
 
     def test_aggregate_is_numpys_envelope(self, tmp_path):
         """Each aggregate row holds np.mean, np.min and np.max over the seeds'
-        trace rows at its k, to the bit (a NaN is written as an empty cell)."""
-        res = run_optimization(opt_cfg(), str(tmp_path))
-        traces = {}
-        for path in res["traces"]:
-            fname, mname, _ = os.path.basename(path)[len("trace_"):-len(".csv")].split("__")
-            traces.setdefault((fname, mname), []).append(read_csv(path)[1])
-        _, agg = read_csv(res["aggregate"])
-        assert len(agg) == sum(max(map(len, ts)) for ts in traces.values())
-        for row in agg:
-            k = int(row["k"])
-            recs = [t[k] for t in traces[row["function"], row["method"]] if len(t) > k]
-            def col(name):
-                return np.array([float(r[name] or "nan") for r in recs])
-            expected = [np.mean(col("phi")), np.min(col("phi")), np.max(col("phi")),
-                        np.mean(col("grad_norm_true")), np.mean(col("evals"))]
-            got = [float(row[c] or "nan") for c in
-                   ("phi_mean", "phi_min", "phi_max", "grad_norm_true_mean", "evals_mean")]
-            assert int(row["n_seeds"]) == len(recs)
-            assert np.array_equal(got, expected, equal_nan=True), row
+        trace rows at its k, to the bit (a NaN is written as an empty cell).
+        numpy sums 8 or more values in lanes, so the check runs at 3 and at 9
+        seeds; the liod_ls traces end at different k, so the seeds reaching
+        a k change along the envelope."""
+        for seeds in (3, 9):
+            res = run_optimization(opt_cfg(seeds=list(range(seeds))), str(tmp_path / str(seeds)))
+            traces = {}
+            for path in res["traces"]:
+                fname, mname, _ = os.path.basename(path)[len("trace_"):-len(".csv")].split("__")
+                traces.setdefault((fname, mname), []).append(read_csv(path)[1])
+            _, agg = read_csv(res["aggregate"])
+            assert len(agg) == sum(max(map(len, ts)) for ts in traces.values())
+            assert len({len(t) for t in traces["quad_n10", "liod_ls"]}) >= 3
+            for row in agg:
+                k = int(row["k"])
+                recs = [t[k] for t in traces[row["function"], row["method"]] if len(t) > k]
+                def col(name):
+                    return np.array([float(r[name] or "nan") for r in recs])
+                expected = [np.mean(col("phi")), np.min(col("phi")), np.max(col("phi")),
+                            np.mean(col("grad_norm_true")), np.mean(col("evals"))]
+                got = [float(row[c] or "nan") for c in
+                       ("phi_mean", "phi_min", "phi_max", "grad_norm_true_mean", "evals_mean")]
+                assert int(row["n_seeds"]) == len(recs)
+                assert np.array_equal(got, expected, equal_nan=True), row
+
+    def test_one_trace_alive_at_a_time(self, tmp_path, monkeypatch):
+        """Each run's trace is freed once it is written and its envelope
+        columns are kept, before the next run starts."""
+        refs = []
+
+        def tracked(*args):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            trace = real(*args)
+            refs.append(weakref.ref(trace))
+            return trace
+
+        real = runners.minimize
+        monkeypatch.setattr(runners, "minimize", tracked)
+        run_optimization(opt_cfg(), str(tmp_path))
+        assert len(refs) == 6 and refs[-1]() is None
 
     def test_exact_search_beats_noisy_fixed_step(self, tmp_path):
         res = run_optimization(opt_cfg(), str(tmp_path))
@@ -887,6 +913,59 @@ class TestCli:
         assert [(r["estimator"], r["N"], r["evals"], r["status"]) for r in rows] == [
             ("cgsg", "100000", "200000", "ok")]
         assert 2 * 100_000 * 5 == MAX_SET_FLOATS
+
+    @pytest.mark.parametrize("command, text, path", [
+        ("grad-accuracy", json.dumps(grad_cfg(sigmas=[0.1, 0.01])).replace("0.01", "1e-2, 0.01"),
+         "sigmas"),
+        ("grad-accuracy", json.dumps(grad_cfg(estimators=["gsg", "liod", "gsg"])), "estimators"),
+        ("grad-accuracy", json.dumps(grad_cfg(functions=["quad_n5", "quad_n5"])), "functions"),
+        ("grad-accuracy", json.dumps(grad_cfg(n_factors=[1, 2, 1])), "n_factors"),
+        ("optimize", json.dumps(opt_cfg(seeds=[0, 0])), "seeds"),
+        ("optimize", json.dumps(opt_cfg(functions=["quad_n10", "quad_n10"])), "functions"),
+    ], ids=["sigmas_1e-2_and_0.01", "estimators", "grad_functions", "n_factors", "seeds",
+            "optimize_functions"])
+    def test_repeated_list_value_exit_two(self, tmp_path, capsys, command, text, path):
+        """A list whose repeat would run the same records again, with the
+        same seeds, exits 2 naming its path; 1e-2 and 0.01 are one value."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid config at {path}: " in err and "has non-unique elements" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    #: (config, key, floats drawn at once) of each verify check's array cap
+    VERIFY_CAPS = {
+        "noise_bound": ({"checks": ["noise_bound"], "trials": 100_000}, "trials", 10),
+        "gsg_variance_domination": ({"checks": ["gsg_variance_domination"],
+                                     "dimensions": [2, 5, 10], "variance_reps": 200_000},
+                                    "variance_reps", 5),
+    }
+
+    @pytest.mark.parametrize("check", VERIFY_CAPS)
+    def test_verify_array_above_cap_exit_two(self, tmp_path, capsys, check):
+        """noise_bound draws (trials, 10) points at once, and the variance
+        check a (variance_reps, n) array at its largest n <= 8; one more
+        trial or rep than MAX_SET_FLOATS allows exits 2, naming the key and
+        the limit, before any draw or file."""
+        cfg, key, n = self.VERIFY_CAPS[check]
+        cfg = {"experiment": "verify_bounds", **cfg, key: cfg[key] + 1}
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (f"{key} {cfg[key]:,}: {check} draws {cfg[key] * n:,} floats at once, "
+                f"above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}") in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("check", VERIFY_CAPS)
+    def test_verify_array_at_cap_runs(self, tmp_path, capsys, check):
+        """The cap itself is a valid size; dimension 10 is above the
+        variance check's n <= 8, so 5 sets its array's width."""
+        cfg, key, n = self.VERIFY_CAPS[check]
+        assert cfg[key] * n == MAX_SET_FLOATS
+        path = self.write_cfg(tmp_path, {"experiment": "verify_bounds", **cfg})
+        assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert f"PASS {check}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "set"])
     def test_blas_threads_of_a_run(self, tmp_path, monkeypatch, variable):

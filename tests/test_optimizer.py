@@ -8,6 +8,7 @@ import pytest
 
 from dfoline import (
     AdamConfig,
+    DFOError,
     EstimatorConfig,
     FixedStepConfig,
     LineSearchConfig,
@@ -432,9 +433,10 @@ def preset(name, kind="none", bound=0.0):
 
 
 class TestInstrumentation:
-    """minimize instruments a trace once, after its loop: phi on one stack of
-    the iterates, the norms by one stacked matmul.  The bytes must be those
-    of instrumenting each iterate on its own."""
+    """minimize instruments each block of iterates as its loop reaches it:
+    phi on one stack of the block's iterates, the norms by one stacked
+    matmul.  The bytes must be those of instrumenting each iterate on its
+    own, and of instrumenting the whole trace at once."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 100])
     def test_stacked_norms_are_v_at_v(self, n):
@@ -522,3 +524,50 @@ class TestInstrumentation:
         assert trace.status == (status or trace.status) == trace.records[-1].status
         assert self.csv_bytes(tmp_path, trace.records) == self.csv_bytes(
             tmp_path, self.reference(oracle, trace, estimates))
+
+    @pytest.mark.parametrize("make_oracle", [
+        preset("rosenbrock_n10", "sinusoidal", 1e-4),
+        lambda: Oracle(lambda x: float(x @ x), 3, grad_phi=lambda x: 2.0 * x),
+    ], ids=["vectorized", "not_vectorized"])
+    def test_blocks_equal_the_whole_trace_at_once(self, tmp_path, monkeypatch, make_oracle):
+        """A trace of more than two blocks that ends in a partial one has the
+        bytes of one instrumentation of all its iterates."""
+        calls = []
+        real = optimizer._instrument
+        monkeypatch.setattr(optimizer, "_instrument",
+                            lambda oracle, rows, records: calls.append(len(rows)) or
+                            real(oracle, rows, records))
+
+        def trace_bytes():
+            oracle = make_oracle()
+            trace = minimize(oracle, np.ones(oracle.dimension),
+                             EstimatorConfig(kind="gsg", sigma=1.0e-3), AdamConfig(alpha=0.01),
+                             7000, RngStream(4, 1))
+            return len(trace.records), self.csv_bytes(tmp_path, trace.records)
+
+        length, blocked = trace_bytes()
+        block = optimizer.INSTRUMENT_BLOCK
+        assert length > 2 * block and length % block
+        assert calls == [block] * (length // block) + [length % block]
+        monkeypatch.setattr(optimizer, "INSTRUMENT_BLOCK", math.inf)
+        assert trace_bytes() == (length, blocked)
+        assert calls[-1] == length
+
+    def test_instrumentation_error_propagates(self):
+        """An error raised by instrumentation is not the run's failure: it
+        leaves minimize, also from a block instrumented inside the run.
+        grad_phi fails on its first call only, so a run that caught the
+        error would end "failed" and return."""
+        calls = []
+
+        def grad_phi(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise DFOError("grad_phi broke")
+            return 2.0 * x
+
+        oracle = Oracle(lambda x: float(x @ x), 2, grad_phi=grad_phi)
+        with pytest.raises(DFOError, match="grad_phi broke"):
+            minimize(oracle, np.ones(2), EstimatorConfig(kind="gsg", sigma=1.0e-3),
+                     FixedStepConfig(alpha=1.0e-4), 3 * optimizer.INSTRUMENT_BLOCK,
+                     RngStream(4, 1))

@@ -45,13 +45,14 @@ def main():
         rng=RngStream(23),
     )
 
-    gap0 = trace.records[0].phi
+    gap0 = trace.phi[0]
     print(f"{'k':>3s} {'gap':>12s} {'envelope':>12s} {'||grad||':>10s} {'alpha':>9s} {'evals':>6s}")
-    for r in trace.records:
-        envelope = rho**r.k * gap0 + floor
-        alpha = f"{r.alpha:.3f}" if r.alpha == r.alpha else "-"
-        print(f"{r.k:>3d} {r.phi:>12.4e} {envelope:>12.4e} "
-              f"{r.grad_norm_true:>10.3e} {alpha:>9s} {r.evals:>6d}")
+    columns = trace.phi, trace.grad_norm_true, trace.alpha, trace.evals
+    for k, (phi, grad_norm, alpha, evals) in enumerate(zip(*(c.tolist() for c in columns))):
+        envelope = rho**k * gap0 + floor
+        alpha = f"{alpha:.3f}" if alpha == alpha else "-"
+        print(f"{k:>3d} {phi:>12.4e} {envelope:>12.4e} "
+              f"{grad_norm:>10.3e} {alpha:>9s} {evals:>6d}")
 
     print(f"\nstatus: {trace.status}")
     if trace.detail:

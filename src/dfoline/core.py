@@ -10,6 +10,7 @@ distributional assumption.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -191,6 +192,16 @@ def as_point(x, n: int, *, finite: bool = True) -> np.ndarray:
     return x
 
 
+def _first_bad_row(A: np.ndarray) -> int | None:
+    """The first row of A (a batch, or its values) with an entry that is not
+    finite, or None.  A finite sum of squares spares the search of the rows;
+    ``np.vdot`` warns of nothing, where a sum warns of inf minus inf."""
+    if math.isfinite(np.vdot(A, A)):
+        return None
+    bad = np.flatnonzero(~np.isfinite(A.reshape(len(A), -1)).all(axis=1))
+    return int(bad[0]) if len(bad) else None
+
+
 class Oracle:
     """Evaluation-counting wrapper around ``f(x) = phi(x) + eps(x)``.
 
@@ -276,7 +287,9 @@ class Oracle:
 
     def evaluate(self, x) -> float:
         """Return one noisy measurement f(x) and count it."""
-        x = as_point(x, self.dimension, finite=False)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise ValueError(f"expected a point of dimension {self.dimension}, got shape {x.shape}")
         return float(self.evaluate_batch(x[None, :])[0])
 
     def evaluate_batch(self, X) -> np.ndarray:
@@ -290,13 +303,11 @@ class Oracle:
             raise ValueError(
                 f"expected an (m, {self.dimension}) batch of points, got shape {X.shape}"
             )
-        if not np.isfinite(X).all():
-            bad = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
+        if (bad := _first_bad_row(X)) is not None:
             raise EvaluationError(f"query point at batch row {bad} is not finite", X[bad])
         values = self._phi_values(X) + self._noise_values(X)
         self.eval_count += X.shape[0]
-        if not np.isfinite(values).all():
-            bad = int(np.argwhere(~np.isfinite(values))[0, 0])
+        if (bad := _first_bad_row(values)) is not None:
             raise EvaluationError(
                 f"objective returned a non-finite value at batch row {bad}", X[bad]
             )

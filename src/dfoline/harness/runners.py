@@ -8,12 +8,14 @@ one after another in declared order, in the calling thread.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import itertools
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 
@@ -38,10 +40,12 @@ from .config import ConfigError, config_hash, with_defaults
 from .csvio import (
     ACCURACY_COLUMNS,
     AGGREGATE_COLUMNS,
+    ROW_BLOCK,
     SUMMARY_COLUMNS,
-    TRACE_COLUMNS,
+    csv_file,
     record_seed,
     write_csv,
+    write_trace,
 )
 
 
@@ -76,13 +80,14 @@ def _records(fn, noise: NoiseModel, seeds, kind=None, N=0):
     the record's own streams, seeded in blocks: the oracle's noise from
     ``RngStream(seed, 0)``, the point generator from stream 2, and from
     stream 1 the record's set of N directions of ``ESTIMATORS[kind]`` or,
-    with no kind, the stream itself (``minimize`` draws from its children)."""
-    seeds = list(seeds)
-    dirs = [RngStream(seed, 1) for seed in seeds]
+    with no kind, the stream itself (``minimize`` draws from its children).
+    ``seeds`` is read as the records are, a block ahead at most."""
+    seeds, for_dirs, for_noise, for_points = itertools.tee(seeds, 4)
+    dirs = (RngStream(seed, 1) for seed in for_dirs)
     if kind is not None:
         dirs = ESTIMATORS[kind].sets(fn.n, N, dirs)
-    noise_rngs = generators(RngStream(seed, 0) for seed in seeds)
-    points = generators(RngStream(seed, 2) for seed in seeds)
+    noise_rngs = generators(RngStream(seed, 0) for seed in for_noise)
+    points = generators(RngStream(seed, 2) for seed in for_points)
     for seed, noise_rng, point, d in zip(seeds, noise_rngs, points, dirs):
         yield seed, fn.oracle(dataclasses.replace(noise, seed=seed), noise_rng), point, d
 
@@ -96,9 +101,10 @@ _NOISE_FUNCTION, _VARIANCE_MAX_N = "sin_n10", 8
 def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
     """Sweep (function, estimator, sigma, N, trial); write records and summaries.
 
-    Emits one row per trial into records.csv plus one row per
-    (function, estimator, sigma, N) group into summary.csv with the mean and
-    quartiles of log10 theta, as the group's trials end.  Interpolation
+    Writes one row per trial into records.csv as the trial ends, plus one
+    row per (function, estimator, sigma, N) group into summary.csv with the
+    mean and quartiles of log10 theta; of a group's trials only their log10
+    thetas and status counts are kept.  Interpolation
     estimators are pinned to N = n, so direction-count factors other than 1
     apply only to gsg/cgsg.  A trial whose estimate raises a runtime failure
     is recorded as "failed", with its replay seed and no theta, and counted
@@ -120,48 +126,49 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
         if (floats := ESTIMATORS[est].evals_per_call(nf * n) * n) > MAX_SET_FLOATS:
             raise ConfigError(f"n_factors {nf:,}: one {est} estimate on {fname} evaluates "
                               f"{floats:,} floats, above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}")
-    rows, summaries = [], []
-    for fname, est, sigma, nf in combos:
-        fn = fns[fname]
-        N = nf * fn.n
-        head = {"experiment_id": exp_id, "function": fname, "n": fn.n,
-                "estimator": est, "method": "", "N": N, "sigma": sigma}
-        seeds = [record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
-                 for trial in range(cfg["trials"])]
-        group = []
-        for trial, (seed, oracle, point, dirs) in enumerate(_records(fn, noise, seeds, est, N)):
-            x = np.zeros(fn.n) if cfg["eval_point"] == "origin" else point.uniform(-2.0, 2.0, fn.n)
-            row = {**head, "trial": trial, "seed": seed, "theta": None, "log10_theta": None,
-                   "status": "ok"}
-            try:
-                result = estimate_on(est, oracle, x, sigma, dirs)
-                theta = relative_error(result.g, fn.gradient(x))
-                row.update(theta=theta, log10_theta=math.log10(theta) if theta > 0 else None)
-            except UndefinedMetricError:
-                row["status"] = "skipped"
-            except DFOError:
-                row["status"] = "failed"
-            group.append({**row, "evals": oracle.eval_count})
-        rows += group
-        logs = [r["log10_theta"] for r in group if r["log10_theta"] is not None]
-        summary = {**head, "count": len(logs),
-                   "skipped": sum(r["status"] == "skipped" for r in group),
-                   "failed": sum(r["status"] == "failed" for r in group)}
-        if logs:
-            q1, med, q3 = np.percentile(logs, [25.0, 50.0, 75.0])
-            summary.update(mean_log10_theta=float(np.mean(logs)), q1_log10_theta=float(q1),
-                           median_log10_theta=float(med), q3_log10_theta=float(q3))
-        summaries.append(summary)
-
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, "records.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
-    write_csv(records_path, ACCURACY_COLUMNS, rows, cfg_hash)
+    summaries = []
+    with csv_file(records_path, ACCURACY_COLUMNS, cfg_hash) as write:
+        for fname, est, sigma, nf in combos:
+            fn = fns[fname]
+            N = nf * fn.n
+            head = {"experiment_id": exp_id, "function": fname, "n": fn.n,
+                    "estimator": est, "method": "", "N": N, "sigma": sigma}
+            seeds = (record_seed(root, exp_id, fname, est, repr(sigma), N, trial)
+                     for trial in range(cfg["trials"]))
+            logs, statuses = [], collections.Counter()
+            for trial, (seed, oracle, point, dirs) in enumerate(_records(fn, noise, seeds, est, N)):
+                x = (np.zeros(fn.n) if cfg["eval_point"] == "origin"
+                     else point.uniform(-2.0, 2.0, fn.n))
+                theta = log10_theta = None
+                status = "ok"
+                try:
+                    result = estimate_on(est, oracle, x, sigma, dirs)
+                    theta = relative_error(result.g, fn.gradient(x))
+                    log10_theta = math.log10(theta) if theta > 0 else None
+                except UndefinedMetricError:
+                    status = "skipped"
+                except DFOError:
+                    status = "failed"
+                if log10_theta is not None:
+                    logs.append(log10_theta)
+                statuses[status] += 1
+                write([(*head.values(), trial, seed, theta, log10_theta, oracle.eval_count,
+                        status)])
+            summary = {**head, "count": len(logs), "skipped": statuses["skipped"],
+                       "failed": statuses["failed"]}
+            if logs:
+                q1, med, q3 = np.percentile(logs, [25.0, 50.0, 75.0])
+                summary.update(mean_log10_theta=float(np.mean(logs)), q1_log10_theta=float(q1),
+                               median_log10_theta=float(med), q3_log10_theta=float(q3))
+            summaries.append(summary)
     write_csv(summary_path, SUMMARY_COLUMNS, summaries, cfg_hash)
     return {
         "records": records_path,
         "summary": summary_path,
-        "n_records": len(rows),
+        "n_records": len(combos) * cfg["trials"],
         "n_summaries": len(summaries),
     }
 
@@ -203,26 +210,41 @@ def _method_configs(method: dict, fname: str, fn, noise_bound: float, budget: in
 MAX_BUDGET = 1_000_000
 
 
-def _envelope(fname: str, mname: str, columns: list) -> list:
-    """The aggregate rows of one (function, method) from each seed's (phi,
-    grad_norm_true, evals) by k, to np.mean's, np.min's and np.max's bits:
-    per k, the seeds reaching it, in order, are a contiguous row to reduce."""
-    rows, lo = [], 0
-    for hi in sorted({len(c) for c in columns}):
-        block = np.stack([c[lo:hi] for c in columns if len(c) >= hi], axis=-1)
-        seeds = block.shape[-1]
-        phi, grad, evals = (np.add.reduce(block, axis=-1) / seeds).T.tolist()
-        low, high = (u.reduce(block[:, 0], axis=-1).tolist() for u in (np.minimum, np.maximum))
-        rows += [{"function": fname, "method": mname, "k": k, "n_seeds": seeds, "phi_mean": m,
-                  "phi_min": a, "phi_max": b, "grad_norm_true_mean": g, "evals_mean": e}
-                 for k, m, a, b, g, e in zip(range(lo, hi), phi, low, high, grad, evals)]
+#: Bytes of one k of one seed in an envelope spill: phi, grad_norm_true, evals.
+_SPILLED = 3 * 8
+
+
+def _envelope(fname: str, mname: str, spill, lengths: list):
+    """The aggregate rows of one (function, method), ROW_BLOCK k at a time,
+    from its seeds' triples in ``spill``, seed after seed, ``lengths`` k
+    each.  Per k, the seeds reaching it, in order, are a contiguous row to
+    reduce, so the rows have np.mean's, np.min's and np.max's bits."""
+
+    def read(first: int, count: int) -> np.ndarray:
+        spill.seek(first * _SPILLED)
+        return np.frombuffer(spill.read(count * _SPILLED)).reshape(count, 3)
+
+    firsts = list(itertools.accumulate(lengths, initial=0))
+    lo = 0
+    for hi in sorted(set(lengths)):
+        reaching = [first for first, size in zip(firsts, lengths) if size >= hi]
+        seeds = len(reaching)
+        for start in range(lo, hi, ROW_BLOCK):
+            ks = range(start, min(start + ROW_BLOCK, hi))
+            block = np.stack([read(first + start, len(ks)) for first in reaching], axis=-1)
+            phi, grad, evals = (np.add.reduce(block, axis=-1) / seeds).T.tolist()
+            low, high = (u.reduce(block[:, 0], axis=-1).tolist() for u in (np.minimum, np.maximum))
+            yield zip(itertools.repeat(fname), itertools.repeat(mname), ks,
+                      itertools.repeat(seeds), phi, low, high, grad, evals)
         lo = hi
-    return rows
 
 
 def run_optimization(cfg: dict, out_dir: str) -> dict:
-    """One trace file per (function, method, seed), plus a mean/min/max
-    envelope per (function, method) aggregated across seeds by iteration.
+    """One trace file per (function, method, seed), written as its run ends,
+    plus a mean/min/max envelope per (function, method) aggregated across
+    seeds by iteration, written to aggregate.csv once the group's last run
+    ends.  Until then each run's phi, grad_norm_true and evals columns wait
+    in a temporary file, so the seeds cost disk, not memory.
 
     Returns the paths written and, keyed by "function/method/s<seed>", each
     trace's status and its stop reason (``trace.detail``, empty when none).
@@ -251,26 +273,31 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
     }
 
     os.makedirs(out_dir, exist_ok=True)
-    trace_paths, agg_rows, statuses, details = [], [], {}, {}
-    for (fname, mname), (est_cfg, stepper) in configs.items():
-        fn = fns[fname]
-        columns = []
-        run_seeds = [record_seed(cfg["seed"], exp_id, fname, mname, s) for s in cfg["seeds"]]
-        for seed, (_, oracle, point, stream) in zip(cfg["seeds"], _records(fn, noise, run_seeds)):
-            x0 = _resolve_x0(x0_spec, fn.n, point)
-            trace = minimize(oracle, x0, est_cfg, stepper, budget, stream)
-            path = os.path.join(out_dir, f"trace_{fname}__{mname}__s{seed}.csv")
-            # each record's fields by name; TRACE_COLUMNS picks the columns
-            write_csv(path, TRACE_COLUMNS, [vars(r) for r in trace.records], cfg_hash)
-            trace_paths.append(path)
-            run = f"{fname}/{mname}/s{seed}"
-            statuses[run], details[run] = trace.status, trace.detail
-            columns.append(np.fromiter(((r.phi, r.grad_norm_true, r.evals) for r in trace.records),
-                                       (float, 3), len(trace.records)))
-            del trace  # before the next run starts
-        agg_rows += _envelope(fname, mname, columns)
+    trace_paths, statuses, details = [], {}, {}
     agg_path = os.path.join(out_dir, "aggregate.csv")
-    write_csv(agg_path, AGGREGATE_COLUMNS, agg_rows, cfg_hash)
+    with csv_file(agg_path, AGGREGATE_COLUMNS, cfg_hash) as write:
+        for (fname, mname), (est_cfg, stepper) in configs.items():
+            fn = fns[fname]
+            run_seeds = [record_seed(cfg["seed"], exp_id, fname, mname, s) for s in cfg["seeds"]]
+            with tempfile.TemporaryFile() as spill:
+                lengths = []
+                for seed, (_, oracle, point, stream) in zip(cfg["seeds"],
+                                                            _records(fn, noise, run_seeds)):
+                    x0 = _resolve_x0(x0_spec, fn.n, point)
+                    trace = minimize(oracle, x0, est_cfg, stepper, budget, stream)
+                    path = os.path.join(out_dir, f"trace_{fname}__{mname}__s{seed}.csv")
+                    write_trace(path, trace, cfg_hash)
+                    trace_paths.append(path)
+                    run = f"{fname}/{mname}/s{seed}"
+                    statuses[run], details[run] = trace.status, trace.detail
+                    columns = trace.phi, trace.grad_norm_true, trace.evals
+                    for lo in range(0, len(trace.evals), ROW_BLOCK):
+                        block = np.column_stack([c[lo:lo + ROW_BLOCK] for c in columns])
+                        spill.write(block.tobytes())  # float64 (phi, grad, evals) by k
+                    lengths.append(len(trace.evals))
+                    del trace, columns  # before the next run starts
+                for rows in _envelope(fname, mname, spill, lengths):
+                    write(rows)
     return {"traces": trace_paths, "aggregate": agg_path,
             "statuses": statuses, "details": details}
 

@@ -8,16 +8,16 @@ condition
 which tolerates bounded noise by construction.  Fixed-step and Adam steppers
 are provided for comparison runs.  Each stepper config's ``start(n)`` returns
 the step function of one run, which holds that rule's state.  Every run
-produces a full :class:`OptimizationTrace` whose records carry the
-instrumented quantities (phi, true gradient norm, per-iteration estimate
-error) when the oracle exposes them.
+produces a full :class:`OptimizationTrace`, one array per column, whose
+instrumented columns (phi, true gradient norm, per-iteration estimate
+error) are measured when the oracle exposes them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,40 +249,34 @@ class AdamConfig:
 STEPPERS = {"line_search": LineSearchConfig, "fixed": FixedStepConfig, "adam": AdamConfig}
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One row of a trace: the iterate plus what was measured there.
-
-    ``evals`` is the cumulative oracle count after this iteration's work.
-    Fields that were not measured (no instrumentation, or no estimate at the
-    terminal point) hold NaN.
-    """
-
-    k: int
-    x: np.ndarray
-    f: float
-    phi: float
-    grad_norm_true: float
-    g_norm: float
-    alpha: float
-    theta_k: float
-    evals: int
-    status: str = "ok"
-
-
 @dataclass
 class OptimizationTrace:
-    records: list[IterationRecord] = field(default_factory=list)
-    status: str = "running"
-    detail: str = ""
+    """A run's iterates k = 0..K, held as one array per column: ``x``
+    (K + 1, n), ``evals`` (int, the cumulative oracle count after iterate
+    k's work) and f, phi, grad_norm_true, g_norm, alpha and theta_k (float,
+    NaN where not measured: no instrumentation, or no estimate or step at
+    the last iterate).  Every iterate but the last is an "ok" step; the
+    run's ``status`` and stop reason ``detail`` are the last one's.
+    """
+
+    x: np.ndarray
+    evals: np.ndarray
+    f: np.ndarray
+    phi: np.ndarray
+    grad_norm_true: np.ndarray
+    g_norm: np.ndarray
+    alpha: np.ndarray
+    theta_k: np.ndarray
+    status: str
+    detail: str
 
     @property
     def iterations(self) -> int:
-        return len(self.records) - 1
+        return len(self.evals) - 1
 
     @property
     def evals_total(self) -> int:
-        return self.records[-1].evals if self.records else 0
+        return int(self.evals[-1])
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
@@ -291,24 +285,28 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
 
 
-def _instrument(oracle: Oracle, rows: list, records: list) -> None:
-    """Move each of ``rows``, (x, f, g or None, ||g||, alpha, evals, status),
-    to ``records`` with phi, ||grad phi|| and theta_k, measured uncounted.  A
-    vectorized phi gets one C-ordered stack and must treat each row alone."""
-    xs, fs, gs, g_norms, alphas, evals, statuses = zip(*rows)
+def _instrument(oracle: Oracle, rows: list, columns: list) -> None:
+    """Move ``rows``, each (x, evals, f, g or None, ||g||, alpha), to
+    ``columns`` as one block per array field of :class:`OptimizationTrace`,
+    in order, with phi, ||grad phi|| and theta_k measured uncounted.  A vectorized phi gets one
+    C-ordered stack and must treat each row alone."""
+    xs, evals, fs, gs, g_norms, alphas = zip(*rows)
+    X = np.array(xs)
     if oracle.vectorized:
-        phis = np.asarray(oracle.phi(np.array(xs)), dtype=float).tolist()
+        phis = np.asarray(oracle.phi(X), dtype=float)
     else:
-        phis = [float(oracle.phi(x)) for x in xs]
-    grad_norms = thetas = [math.nan] * len(xs)
+        phis = np.array([float(oracle.phi(x)) for x in xs])
+    grad_norms = thetas = np.full(len(xs), math.nan)
     if oracle.grad_phi is not None:
         grads = np.array([np.asarray(oracle.grad_phi(x), dtype=float) for x in xs])
-        grad_norms = np.sqrt(_sq_norms(grads)).tolist()
+        grad_norms = np.sqrt(_sq_norms(grads))
         G = np.array([np.full(oracle.dimension, math.nan) if g is None else g for g in gs])
-        errors = np.sqrt(_sq_norms(G - grads)).tolist()
-        thetas = [e / gn if gn > 0 else math.nan for e, gn in zip(errors, grad_norms)]
-    records.extend(IterationRecord(k, *row) for k, row in enumerate(zip(
-        xs, fs, phis, grad_norms, g_norms, alphas, thetas, evals, statuses), len(records)))
+        thetas = np.divide(np.sqrt(_sq_norms(G - grads)), grad_norms,
+                           out=np.full(len(xs), math.nan), where=grad_norms > 0)
+    blocks = (X, np.array(evals), np.array(fs, dtype=float), phis, grad_norms,
+              np.array(g_norms, dtype=float), np.array(alphas, dtype=float), thetas)
+    for column, block in zip(columns, blocks):
+        column.append(block)
     rows.clear()
 
 
@@ -327,13 +325,15 @@ def minimize(
     nothing else, so the child streams are seeded in blocks, and orthonormal
     sets drawn in blocks with one QR call, with the bits numpy gives each
     stream and set alone (the kind's ``ESTIMATORS[kind].sets``).
-    The trace gains one record per iterate including the final one, and ends
+    The trace holds every iterate including the final one, and ends
     "converged", "budget_exhausted", "noise_floor", or "failed" (see
     ``trace.detail``).  A :class:`DFOError` raised inside the loop ends the
     run "failed" with the exception text; it is never lost.  Each
     INSTRUMENT_BLOCK iterates are instrumented as the loop reaches them, and
-    an error there propagates.  A vanishing estimate counts as convergence
-    only when sigma can resolve a gradient of that size, that is when
+    an error there propagates.  The run, instrumentation included, ignores
+    floating-point overflow and invalid operations: their inf and NaN end it
+    "failed", and numpy warns of nothing.  A vanishing estimate counts as
+    convergence only when sigma can resolve a gradient of that size, that is when
     spacing(|f(x)|) / sigma <= GRAD_NORM_TOL; otherwise the differences were
     lost to rounding and the run has failed.
     """
@@ -354,7 +354,8 @@ def minimize(
 
     extra = 1 if isinstance(stepper, LineSearchConfig) else 0
     extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart
-    rows, records = [], []  # rows: (x, f, g, ||g||, alpha, evals, status) to instrument
+    rows = []  # (x, evals, f, g, ||g||, alpha) of the iterates to instrument
+    columns = [[] for _ in range(8)]  # their blocks, instrumented, per array field
 
     def iterate():
         """Run the loop until INSTRUMENT_BLOCK iterates wait in ``rows``
@@ -399,15 +400,18 @@ def minimize(
                     status = "budget_exhausted" if exc.reason == "budget" else "noise_floor"
                     return status, str(exc), measured
 
-                rows.append((x, f_k, g, g_norm, alpha, oracle.eval_count, "ok"))
+                rows.append((x, oracle.eval_count, f_k, g, g_norm, alpha))
                 x = x_next
         except DFOError as exc:
             return "failed", str(exc), None
 
-    while (end := iterate()) is None:
-        _instrument(oracle, rows, records)  # outside the loop's try: its errors propagate
-    status, detail, measured = end
-    f, g, g_norm = measured or (math.nan, None, math.nan)
-    rows.append((x, f, g, g_norm, math.nan, oracle.eval_count, status))
-    _instrument(oracle, rows, records)
-    return OptimizationTrace(records, status, detail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (end := iterate()) is None:
+            _instrument(oracle, rows, columns)  # outside the loop's try: its errors propagate
+        status, detail, measured = end
+        f, g, g_norm = measured or (math.nan, None, math.nan)
+        rows.append((x, oracle.eval_count, f, g, g_norm, math.nan))
+        _instrument(oracle, rows, columns)
+    # one column at a time, so only that column's blocks are held twice
+    return OptimizationTrace(*[np.concatenate(columns.pop(0)) for _ in range(len(columns))],
+                             status, detail)

@@ -212,8 +212,8 @@ def test_criterion_07_linear_rate_certificate():
             )
             rho, _ = strongly_convex_certificate(consts, ls_consts, 1, 1.0)
             floor = 4.0 * eps_f / (1.0 - rho)
-            gap0 = trace.records[0].phi
-            phi = [r.phi for r in trace.records]
+            gap0 = trace.phi[0]
+            phi = trace.phi.tolist()
             excess = max(
                 phi[k] - (rho**k * gap0 + floor) for k in range(len(phi))
             )
@@ -244,8 +244,8 @@ def test_criterion_08_nonconvex_average_certificate():
                 budget=1500,
                 rng=RngStream(31),
             )
-            gnt = np.array([r.grad_norm_true for r in trace.records])
-            phi0 = trace.records[0].phi
+            gnt = trace.grad_norm_true
+            phi0 = trace.phi[0]
             for T in (10, 100):
                 if len(gnt) <= T:
                     ok = False

@@ -266,6 +266,28 @@ class TestOracleValidation:
         # the failing batch was still spent
         assert o.eval_count == 2
 
+    @pytest.mark.parametrize("X, row, text", [
+        ([[1.0, 2.0], [np.inf, -np.inf], [np.nan, 0.0]], 1, "query point at batch row 1 is not finite"),
+        ([[1.0e200, 1.0], [1.0, -np.inf]], 1, "query point at batch row 1 is not finite"),
+        ([[0.0, 0.0], [3.0, 0.0], [1.0e300, 1.0e300]], 1,
+         "objective returned a non-finite value at batch row 1"),
+    ], ids=["both_infinities", "huge_then_inf", "inf_value"])
+    def test_rejected_batch_names_its_first_bad_row(self, X, row, text):
+        """The sum-of-squares check finds a bad entry; the search names the first
+        bad row, as a search of every row did, and numpy warns of nothing."""
+        o = Oracle(lambda x: np.inf if x[0] == 3.0 else float(x[0]), 2)
+        with pytest.raises(EvaluationError, match=f"^{text}$") as info:
+            o.evaluate_batch(np.array(X))
+        np.testing.assert_array_equal(info.value.x, X[row])
+
+    def test_finite_batch_past_the_sums_range_is_evaluated(self):
+        """Squares past the float range send the check to the row search,
+        which finds no bad row: the batch is evaluated and counted."""
+        o = Oracle(lambda x: float(x[0]), 2)
+        X = np.array([[1.0e200, -1.0e300], [1.7e308, 1.7e308]])
+        np.testing.assert_array_equal(o.evaluate_batch(X), [1.0e200, 1.7e308])
+        assert o.evaluate(X[1]) == 1.7e308 and o.eval_count == 3
+
     def test_repr_mentions_name_and_count(self):
         o = Oracle(sphere, 2, name="sphere")
         o.evaluate([0.0, 0.0])

@@ -30,7 +30,7 @@ from dfoline import (
     quadratic,
 )
 from dfoline.estimators import _norm
-from dfoline.harness.csvio import TRACE_COLUMNS, write_csv
+from dfoline.harness.csvio import write_trace
 
 
 def half_square_oracle():
@@ -218,7 +218,7 @@ class TestMinimize:
             rng=0,
         )
         assert trace.status == "noise_floor"
-        assert trace.records[-1].phi <= 1.0e-11
+        assert trace.phi[-1] <= 1.0e-11
         assert trace.evals_total <= 200
 
     def test_sigma_lost_to_rounding_is_failed_not_converged(self):
@@ -231,8 +231,7 @@ class TestMinimize:
             budget=2000,
         )
         assert trace.status == "failed"
-        assert trace.records[-1].status == "failed"
-        assert trace.records[-1].g_norm == 0.0
+        assert trace.g_norm[-1] == 0.0
         assert "sigma=1.000e-06" in trace.detail and "||x||=" in trace.detail
 
     def test_unresolvable_vanishing_estimate_is_failed(self):
@@ -246,8 +245,8 @@ class TestMinimize:
             budget=5000,
         )
         assert trace.status == "failed"
-        assert trace.records[-1].g_norm == 0.0
-        assert trace.records[-1].phi > 1.0e30
+        assert trace.g_norm[-1] == 0.0
+        assert trace.phi[-1] > 1.0e30
         assert "sigma=1.000e-02" in trace.detail
 
     def test_budget_must_cover_one_iteration(self):
@@ -275,9 +274,8 @@ class TestMinimize:
         a, b = run(), run()
         assert a.status == b.status
         for col in ("f", "phi", "alpha", "evals", "g_norm"):
-            np.testing.assert_array_equal([getattr(r, col) for r in a.records],
-                                          [getattr(r, col) for r in b.records])
-        np.testing.assert_array_equal(a.records[-1].x, b.records[-1].x)
+            np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
+        np.testing.assert_array_equal(a.x, b.x)
 
     def test_int_seed_matches_stream(self):
         fn = quadratic(2, 1.0, 1.0)
@@ -285,18 +283,18 @@ class TestMinimize:
                      LineSearchConfig(), budget=80, rng=5)
         b = minimize(fn.oracle(), [1.0, 1.0], EstimatorConfig(kind="gsg"),
                      LineSearchConfig(), budget=80, rng=RngStream(5))
-        np.testing.assert_array_equal([r.f for r in a.records], [r.f for r in b.records])
+        np.testing.assert_array_equal(a.f, b.f)
 
     def test_trace_shape_and_accounting(self):
         fn = quadratic(4, 1.0, 3.0)
         trace = minimize(fn.oracle(), np.ones(4), EstimatorConfig(kind="liod", sigma=1e-5),
                          LineSearchConfig(), budget=200, rng=1)
-        assert len(trace.records) == trace.iterations + 1
-        assert [r.k for r in trace.records] == list(range(len(trace.records)))
-        evals = [r.evals for r in trace.records]
-        assert np.all(np.diff(evals) >= 0)
-        assert evals[-1] <= 200
-        assert trace.records[-1].status == trace.status
+        size = trace.iterations + 1
+        assert trace.x.shape == (size, 4)
+        for col in ("evals", "f", "phi", "grad_norm_true", "g_norm", "alpha", "theta_k"):
+            assert getattr(trace, col).shape == (size,)
+        assert np.all(np.diff(trace.evals) >= 0)
+        assert trace.evals[-1] == trace.evals_total <= 200
 
     def test_per_iteration_decrease_certificate(self):
         """With exact interpolation accuracy theta and zero noise, every
@@ -307,8 +305,7 @@ class TestMinimize:
         trace = minimize(fn.oracle(), np.ones(5) / math.sqrt(5.0), cfg,
                          LineSearchConfig(), budget=2000, rng=3)
         rate = eta(LineSearchConstants(c1=0.2, tau=0.3, theta=0.25), 1.0)
-        phi = [r.phi for r in trace.records]
-        gnt = [r.grad_norm_true for r in trace.records]
+        phi, gnt = trace.phi, trace.grad_norm_true
         for i in range(len(phi) - 1):
             assert phi[i + 1] <= phi[i] - rate * gnt[i] ** 2 + 1.0e-10
 
@@ -323,7 +320,7 @@ class TestMinimize:
         trace = minimize(oracle, np.ones(10), cfg,
                          LineSearchConfig(eps_f=1.0e-4), budget=20000, rng=2)
         assert trace.status == "noise_floor"
-        assert trace.records[-1].grad_norm_true < 0.8 + 1e-9
+        assert trace.grad_norm_true[-1] < 0.8 + 1e-9
 
     def test_stall_at_minimum_is_noise_floor(self):
         """Started exactly at the minimizer, every trial step increases f,
@@ -342,7 +339,7 @@ class TestMinimize:
                          LineSearchConfig(), budget=50, rng=0)
         assert trace.status == "converged"
         assert trace.iterations == 0
-        np.testing.assert_array_equal(trace.records[-1].x, [1.0, 2.0])
+        np.testing.assert_array_equal(trace.x[-1], [1.0, 2.0])
         assert trace.evals_total == 3  # two forward points plus the center
 
     def test_adaptive_requires_instrumentation(self):
@@ -357,10 +354,9 @@ class TestMinimize:
         trace = minimize(fn.oracle(), np.ones(3),
                          EstimatorConfig(kind="liod", sigma=1e-5),
                          FixedStepConfig(alpha=0.05), budget=120, rng=0)
-        alphas = [r.alpha for r in trace.records]
-        assert set(alphas[:-1]) == {0.05}
-        assert math.isnan(alphas[-1])
-        assert trace.records[-1].phi < trace.records[0].phi
+        assert set(trace.alpha[:-1].tolist()) == {0.05}
+        assert math.isnan(trace.alpha[-1])
+        assert trace.phi[-1] < trace.phi[0]
 
     def test_adam_descends(self):
         fn = quadratic(2, 1.0, 1.0)
@@ -368,7 +364,7 @@ class TestMinimize:
                          EstimatorConfig(kind="liod", sigma=1e-5),
                          AdamConfig(alpha=0.1), budget=300, rng=0)
         assert trace.status == "budget_exhausted"
-        assert trace.records[-1].phi < 0.25 * trace.records[0].phi
+        assert trace.phi[-1] < 0.25 * trace.phi[0]
 
     def test_cgsg_center_accounting(self):
         """cgsg never evaluates the center itself, so the loop pays one extra
@@ -381,7 +377,7 @@ class TestMinimize:
         assert trace.status in ("budget_exhausted", "noise_floor")
         assert trace.evals_total <= 100
         # first iteration: 6 symmetric evals + 1 center + >= 1 trial
-        assert trace.records[0].evals >= 8
+        assert trace.evals[0] >= 8
 
 
 class TestDirectionBlocks:
@@ -395,8 +391,8 @@ class TestDirectionBlocks:
                          EstimatorConfig(kind=kind, sigma=1.0e-4), stepper, budget,
                          RngStream(8, 1))
         path = tmp_path / "trace.csv"
-        write_csv(path, TRACE_COLUMNS, [vars(r) for r in trace.records], "")
-        return trace, path.read_bytes() + b"".join(r.x.tobytes() for r in trace.records)
+        write_trace(path, trace, "")
+        return trace, path.read_bytes() + trace.x.tobytes()
 
     def test_blocks_give_the_trace_of_one_set_per_draw(self, tmp_path, monkeypatch):
         trace, blocked = self.trace_bytes(tmp_path, 2000)
@@ -456,29 +452,31 @@ class TestInstrumentation:
 
     @staticmethod
     def reference(oracle, trace, estimates):
-        """The trace's records with phi, ||grad phi|| and theta_k measured at
-        each iterate alone, as the loop once did: every record has the
-        estimate made at its iterate, the last one only if it has a g_norm."""
-        records = []
-        for rec in trace.records:
-            g = None if math.isnan(rec.g_norm) else estimates[rec.k].g
-            phi = (float(oracle.phi(rec.x[None, :])[0]) if oracle.vectorized
-                   else float(oracle.phi(rec.x)))
-            grad_norm = theta_k = math.nan
-            if oracle.grad_phi is not None:
-                grad = np.asarray(oracle.grad_phi(rec.x), dtype=float)
-                grad_norm = _norm(grad)
-                if g is not None and grad_norm > 0:
-                    theta_k = _norm(g - grad) / grad_norm
-            records.append(dataclasses.replace(
-                rec, phi=phi, grad_norm_true=grad_norm, theta_k=theta_k))
-        return records
+        """The trace with phi, ||grad phi|| and theta_k measured at each
+        iterate alone, as the loop once did: every iterate has the estimate
+        made there, the last one only if it has a g_norm.  Like the run, it
+        ignores overflow: a failed run's last iterate may hold an inf."""
+        columns = {"phi": [], "grad_norm_true": [], "theta_k": []}
+        for k, (x, g_norm) in enumerate(zip(trace.x, trace.g_norm)):
+            g = None if math.isnan(g_norm) else estimates[k].g
+            with np.errstate(over="ignore", invalid="ignore"):
+                phi = (float(oracle.phi(x[None, :])[0]) if oracle.vectorized
+                       else float(oracle.phi(x)))
+                grad_norm = theta_k = math.nan
+                if oracle.grad_phi is not None:
+                    grad = np.asarray(oracle.grad_phi(x), dtype=float)
+                    grad_norm = _norm(grad)
+                    if g is not None and grad_norm > 0:
+                        theta_k = _norm(g - grad) / grad_norm
+            for name, value in zip(columns, (phi, grad_norm, theta_k)):
+                columns[name].append(value)
+        return dataclasses.replace(trace, **{k: np.array(v) for k, v in columns.items()})
 
     @staticmethod
-    def csv_bytes(tmp_path, records):
+    def csv_bytes(tmp_path, trace):
         path = tmp_path / "trace.csv"
-        write_csv(path, TRACE_COLUMNS, [vars(r) for r in records], "")
-        return path.read_bytes() + b"".join(r.x.tobytes() for r in records)
+        write_trace(path, trace, "")
+        return path.read_bytes() + trace.x.tobytes()
 
     # case: (oracle factory, estimator, stepper, budget, status or None for any);
     # x0 is ones, or zeros for a case named "..._at_minimum" (grad phi = 0 there)
@@ -521,8 +519,8 @@ class TestInstrumentation:
                             lambda *args: estimates.append(real(*args)) or estimates[-1])
         x0 = np.full(oracle.dimension, 0.0 if case.endswith("at_minimum") else 1.0)
         trace = minimize(oracle, x0, est, stepper, budget, RngStream(4, 1))
-        assert trace.status == (status or trace.status) == trace.records[-1].status
-        assert self.csv_bytes(tmp_path, trace.records) == self.csv_bytes(
+        assert trace.status == (status or trace.status)
+        assert self.csv_bytes(tmp_path, trace) == self.csv_bytes(
             tmp_path, self.reference(oracle, trace, estimates))
 
     @pytest.mark.parametrize("make_oracle", [
@@ -535,15 +533,15 @@ class TestInstrumentation:
         calls = []
         real = optimizer._instrument
         monkeypatch.setattr(optimizer, "_instrument",
-                            lambda oracle, rows, records: calls.append(len(rows)) or
-                            real(oracle, rows, records))
+                            lambda oracle, rows, columns: calls.append(len(rows)) or
+                            real(oracle, rows, columns))
 
         def trace_bytes():
             oracle = make_oracle()
             trace = minimize(oracle, np.ones(oracle.dimension),
                              EstimatorConfig(kind="gsg", sigma=1.0e-3), AdamConfig(alpha=0.01),
                              7000, RngStream(4, 1))
-            return len(trace.records), self.csv_bytes(tmp_path, trace.records)
+            return len(trace.evals), self.csv_bytes(tmp_path, trace)
 
         length, blocked = trace_bytes()
         block = optimizer.INSTRUMENT_BLOCK

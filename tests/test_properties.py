@@ -115,9 +115,10 @@ steppers = st.one_of(
        seed=seeds)
 def test_trace_status_agrees_with_records(name, kind, bound, estimator, sigma, stepper, budget,
                                           x0_scale, seed):
-    """Whatever the run does, its records count k = 0..K, their evals never
-    fall nor pass the budget, every record but the last is an ok step with a
-    finite alpha, and the last has no alpha and the trace's status.  A run
+    """Whatever the run does, its columns all hold K + 1 iterates, their
+    evals never fall nor pass the budget, every iterate but the last is a
+    step with a finite alpha, the last has no alpha, and the status is one
+    of the four ends.  A run
     reads converged only where phi is finite and sigma resolves the vanished
     gradient: spacing(|f|) / sigma <= GRAD_NORM_TOL."""
     noise = NoiseModel(kind, bound, seed=seed)
@@ -128,16 +129,18 @@ def test_trace_status_agrees_with_records(name, kind, bound, estimator, sigma, s
         budget += est.evals_per_call(n) + 1
     x0 = x0_scale * RngStream(seed, 2).generator().uniform(-2.0, 2.0, n)
     trace = minimize(oracle, x0, est, stepper, budget, RngStream(seed, 1))
-    records = trace.records
-    assert [r.k for r in records] == list(range(len(records)))
-    evals = [r.evals for r in records]
+    size = len(trace.evals)
+    assert trace.x.shape == (size, n)
+    assert all(getattr(trace, c).shape == (size,)
+               for c in ("f", "phi", "grad_norm_true", "g_norm", "alpha", "theta_k"))
+    evals = trace.evals.tolist()
     assert evals == sorted(evals) and evals[-1] <= budget
-    assert all(r.status == "ok" and math.isfinite(r.alpha) for r in records[:-1])
-    last = records[-1]
-    assert math.isnan(last.alpha) and last.status == trace.status != "ok"
+    assert np.isfinite(trace.alpha[:-1]).all()
+    assert math.isnan(trace.alpha[-1])
+    assert trace.status in ("converged", "budget_exhausted", "noise_floor", "failed")
     if trace.status == "converged":
-        assert math.isfinite(last.phi)
-        assert float(np.spacing(abs(last.f))) / sigma <= GRAD_NORM_TOL
+        assert math.isfinite(trace.phi[-1])
+        assert float(np.spacing(abs(trace.f[-1]))) / sigma <= GRAD_NORM_TOL
 
 
 six = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(np.array)

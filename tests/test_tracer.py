@@ -96,7 +96,7 @@ def test_tracer_sees_every_evaluation_and_estimate(kind, formula, stepper):
             budget=1500, rng=RngStream(4, 1),
         )
     totals = tracer.totals()
-    estimated = sum(not np.isnan(r.g_norm) for r in trace.records)
+    estimated = int(np.count_nonzero(~np.isnan(trace.g_norm)))
     assert estimated > 40
     assert totals["core.Oracle.evaluate_batch.points"] == oracle.eval_count
     assert totals[f"estimators.{formula}.calls"] == estimated

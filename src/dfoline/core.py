@@ -195,8 +195,12 @@ def as_point(x, n: int, *, finite: bool = True) -> np.ndarray:
 def _first_bad_row(A: np.ndarray) -> int | None:
     """The first row of A (a batch, or its values) with an entry that is not
     finite, or None.  A finite sum of squares spares the search of the rows;
-    ``np.vdot`` warns of nothing, where a sum warns of inf minus inf."""
-    if math.isfinite(np.vdot(A, A)):
+    ``np.vdot`` warns of nothing, where a sum warns of inf minus inf.  It
+    would copy an F-ordered batch (liod's probes) into C order, so the sum
+    runs over the entries in memory order.  A row alone is contiguous in
+    either order: the ravel would only add a call to every one-point query."""
+    a = A if len(A) == 1 else A.ravel(order="K")
+    if math.isfinite(np.vdot(a, a)):
         return None
     bad = np.flatnonzero(~np.isfinite(A.reshape(len(A), -1)).all(axis=1))
     return int(bad[0]) if len(bad) else None

@@ -37,6 +37,8 @@ from .directions import (
 # LIGD draws can be numerically poor even though a Gaussian matrix is almost
 # surely invertible; past this condition number we redraw once, then fail.
 _COND_LIMIT = 1.0e8
+# float64's range and unit roundoff u, for the certificate of that limit
+_FLOATS, _U = np.finfo(float), 2.0**-53
 
 
 class ConditioningError(DFOError):
@@ -118,6 +120,43 @@ def cgsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimat
     return GradientEstimate(g, None)
 
 
+def _cholesky_certifies(Q: np.ndarray) -> bool:
+    """True only if cond_2(Q) < _COND_LIMIT, proved without an SVD; False
+    when the proof fails, which says nothing about Q.
+
+    With t = ||Q||_F^2 = trace(Q Q^T), u = 2^-53 and s = 4 (n+1)^2 u t, the
+    rounding of G = Q Q^T is below gamma_n t and Cholesky's backward error
+    (Higham, ch. 10) below gamma_(n+1) t, together under s/4.  So a
+    Cholesky factorization of G - s I that succeeds proves
+    sigma_min(Q)^2 >= s/2, and cond_2(Q)^2 <= t / (s/2) = 1 / (2 (n+1)^2 u):
+    cond_2(Q) <= 3.4e7 at n = 1 and 6.6e5 at n = 100, below 1e8 at every n.
+    A t outside [tiny / u, u max] proves nothing: below, underflow's
+    absolute errors could reach s; above, G could overflow; a Q that is not
+    finite has no finite t.  numpy's Cholesky passes a NaN pivot, hence the
+    check of L.
+    """
+    n = len(Q)
+    t = np.vdot(Q, Q)
+    if not _FLOATS.tiny / _U <= t <= _U * _FLOATS.max:
+        return False
+    G = Q @ Q.T
+    G.flat[:: n + 1] -= 4 * (n + 1) ** 2 * _U * t
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return math.isfinite(np.trace(L))
+
+
+def _condition_past_limit(Q: np.ndarray) -> float | None:
+    """cond_2(Q) if it is not below _COND_LIMIT (inf for a Q that is not
+    finite, whose SVD numpy may not converge), else None."""
+    if _cholesky_certifies(Q):
+        return None
+    cond = np.linalg.cond(Q) if np.isfinite(Q).all() else math.inf
+    return None if cond < _COND_LIMIT else cond
+
+
 def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate:
     """Gradient of the linear model interpolating f at x and the N = n offsets.
 
@@ -127,7 +166,11 @@ def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) 
     Reproduces linear functions exactly at zero noise.
 
     Gaussian direction matrices are condition-checked before any oracle
-    evaluation; one automatic redraw is attempted (when the set carries seed
+    evaluation: the gate passes Q when cond_2(Q) < 1e8.  A Cholesky
+    certificate (:func:`_cholesky_certifies`) passes most draws without an
+    SVD; a draw it cannot certify goes to ``np.linalg.cond``, so every
+    decision is the one the SVD makes.  A Q that is not finite has condition
+    number inf.  One automatic redraw is attempted (when the set carries seed
     provenance), after which a :class:`ConditioningError` is raised.
     """
     x = _check_geometry(oracle, x, sigma, dirs)
@@ -137,16 +180,15 @@ def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) 
             f"interpolation needs exactly N = n = {n} directions, got {dirs.Q.shape[0]}"
         )
     if dirs.kind == "gaussian":
-        cond = np.linalg.cond(dirs.Q)
-        if not cond < _COND_LIMIT:
-            if dirs.stream is not None:
-                dirs = gaussian_directions(n, n, dirs.stream.child(1))
-                cond = np.linalg.cond(dirs.Q)
-            if not cond < _COND_LIMIT:
-                raise ConditioningError(
-                    f"direction matrix condition number {cond:.3e} exceeds "
-                    f"{_COND_LIMIT:.0e}; redraw the direction set"
-                )
+        cond = _condition_past_limit(dirs.Q)
+        if cond is not None and dirs.stream is not None:
+            dirs = gaussian_directions(n, n, dirs.stream.child(1))
+            cond = _condition_past_limit(dirs.Q)
+        if cond is not None:
+            raise ConditioningError(
+                f"direction matrix condition number {cond:.3e} exceeds "
+                f"{_COND_LIMIT:.0e}; redraw the direction set"
+            )
     f0 = _value_at(oracle, x)
     F = oracle.evaluate_batch(x[None, :] + sigma * dirs.Q) - f0
     if dirs.kind == "gaussian":

@@ -266,18 +266,22 @@ class TestOracleValidation:
         # the failing batch was still spent
         assert o.eval_count == 2
 
-    @pytest.mark.parametrize("X, row, text", [
-        ([[1.0, 2.0], [np.inf, -np.inf], [np.nan, 0.0]], 1, "query point at batch row 1 is not finite"),
-        ([[1.0e200, 1.0], [1.0, -np.inf]], 1, "query point at batch row 1 is not finite"),
+    @pytest.mark.parametrize("X, row, text, order", [
+        ([[1.0, 2.0], [np.inf, -np.inf], [np.nan, 0.0]], 1,
+         "query point at batch row 1 is not finite", "C"),
+        ([[1.0e200, 1.0], [1.0, -np.inf]], 1, "query point at batch row 1 is not finite", "C"),
         ([[0.0, 0.0], [3.0, 0.0], [1.0e300, 1.0e300]], 1,
-         "objective returned a non-finite value at batch row 1"),
-    ], ids=["both_infinities", "huge_then_inf", "inf_value"])
-    def test_rejected_batch_names_its_first_bad_row(self, X, row, text):
+         "objective returned a non-finite value at batch row 1", "C"),
+        ([[1.0, 2.0], [0.5, 1.0], [2.0, np.nan], [np.inf, 0.0]], 2,
+         "query point at batch row 2 is not finite", "F"),
+    ], ids=["both_infinities", "huge_then_inf", "inf_value", "f_ordered"])
+    def test_rejected_batch_names_its_first_bad_row(self, X, row, text, order):
         """The sum-of-squares check finds a bad entry; the search names the first
-        bad row, as a search of every row did, and numpy warns of nothing."""
+        bad row, as a search of every row did, and numpy warns of nothing.  In
+        an F-ordered batch the first bad entry in memory is in a later row."""
         o = Oracle(lambda x: np.inf if x[0] == 3.0 else float(x[0]), 2)
         with pytest.raises(EvaluationError, match=f"^{text}$") as info:
-            o.evaluate_batch(np.array(X))
+            o.evaluate_batch(np.array(X, order=order))
         np.testing.assert_array_equal(info.value.x, X[row])
 
     def test_finite_batch_past_the_sums_range_is_evaluated(self):

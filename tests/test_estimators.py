@@ -1,5 +1,7 @@
 """Gradient estimators: frozen worked examples, exactness, accounting, bounds."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,13 @@ from dfoline import (
     orthonormal_directions,
     relative_error,
 )
-from dfoline.estimators import ESTIMATORS, GradientEstimate, _norm, estimate
+from dfoline.estimators import (
+    ESTIMATORS,
+    GradientEstimate,
+    _cholesky_certifies,
+    _norm,
+    estimate,
+)
 
 
 def linear_oracle(a, noise=None):
@@ -193,6 +201,53 @@ class TestInterpolation:
         bad = DirectionSet(Q, "gaussian", RngStream(13, 1))
         est = interpolation_gradient(o, np.zeros(2), 0.1, bad)
         np.testing.assert_allclose(est.g, [2.0, -1.0], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_directions_are_refused_before_evaluating(self, bad):
+        """A Q with a NaN or inf entry has no finite condition number (numpy's
+        SVD does not converge on NaN): without a stream it is a
+        ConditioningError before any evaluation; with one, the redraw is used."""
+        Q = np.array([[bad, 0.0], [0.0, 1.0]])
+        o = linear_oracle([2.0, -1.0])
+        with pytest.raises(ConditioningError, match="^direction matrix condition number inf "):
+            interpolation_gradient(o, np.zeros(2), 0.1, DirectionSet(Q, "gaussian"))
+        assert o.eval_count == 0
+        stream = RngStream(13, 1)
+        est = interpolation_gradient(o, np.zeros(2), 0.1, DirectionSet(Q, "gaussian", stream))
+        redrawn = gaussian_directions(2, 2, stream.child(1))
+        expected = interpolation_gradient(linear_oracle([2.0, -1.0]), np.zeros(2), 0.1, redrawn)
+        assert est.g.tobytes() == expected.g.tobytes() and o.eval_count == 3
+
+    @pytest.mark.parametrize("Q", [
+        np.diag([1.0, 1.0, 1.0, 1.0e-7]),
+        np.diag([1.0, 1.0, 1.0, 1.0e-9]),
+        np.zeros((1, 1)),
+        1.0e-160 * np.array([[3.0, 1.0], [6.0, 2.0 + 1.0e-9]]),
+    ], ids=["cond_1e7_passes", "cond_1e9_redrawn", "zero_refused", "underflowing_gram_refused"])
+    def test_the_svd_decides_what_the_certificate_cannot(self, Q):
+        """No Q here is certified, so np.linalg.cond decides: cond 1e7 passes,
+        the others are redrawn with a stream and refused without one, with
+        numpy's number in the message.  The last Q's Gram matrix underflows,
+        where rounding errors are absolute: without the certificate's lower
+        bound on ||Q||_F^2, its shifted Gram matrix would factor."""
+        n = len(Q)
+        cond = np.linalg.cond(Q)
+        assert not _cholesky_certifies(Q)
+        o = linear_oracle(np.arange(1.0, n + 1.0))
+        if cond < 1.0e8:
+            est = interpolation_gradient(o, np.zeros(n), 0.1, DirectionSet(Q, "gaussian"))
+            np.testing.assert_allclose(est.g, np.arange(1.0, n + 1.0), rtol=1e-6)
+        else:
+            text = f"direction matrix condition number {cond:.3e} exceeds"
+            with pytest.raises(ConditioningError, match="^" + re.escape(text)):
+                interpolation_gradient(o, np.zeros(n), 0.1, DirectionSet(Q, "gaussian"))
+            assert o.eval_count == 0
+        stream = RngStream(5, 1)
+        used = Q if cond < 1.0e8 else gaussian_directions(n, n, stream.child(1)).Q
+        est = interpolation_gradient(o, np.zeros(n), 0.1, DirectionSet(Q, "gaussian", stream))
+        expected = interpolation_gradient(linear_oracle(np.arange(1.0, n + 1.0)), np.zeros(n),
+                                          0.1, DirectionSet(used, "gaussian"))
+        assert est.g.tobytes() == expected.g.tobytes()
 
 
 class TestCommonValidation:

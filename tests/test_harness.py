@@ -23,6 +23,7 @@ from dfoline import (
     RngStream,
     core,
     directions,
+    estimators,
     get_function,
     interpolation_error,
 )
@@ -463,6 +464,25 @@ class TestGradAccuracyRunner:
             monkeypatch.setattr(directions, "ORTHONORMAL_BLOCK", 1)
             run_gradient_accuracy(cfg, str(tmp_path / "one"))
         assert read_bytes_tree(str(tmp_path / "blocked")) == read_bytes_tree(str(tmp_path / "one"))
+
+    def test_ligd_sweep_writes_the_same_bytes_without_the_certificate(self, tmp_path,
+                                                                      monkeypatch):
+        """The Cholesky certificate of ligd's gate only spares SVDs: with every
+        draw sent to np.linalg.cond instead, the sweep writes the same bytes."""
+        cfg = grad_cfg(functions=["quad_n10", "sin_n100"], estimators=["ligd"],
+                       sigmas=[1.0e-2, 1.0e-5], trials=30)
+        certified = []
+
+        def spy(Q, real=estimators._cholesky_certifies):
+            certified.append(real(Q))
+            return certified[-1]
+
+        monkeypatch.setattr(estimators, "_cholesky_certifies", spy)
+        run_gradient_accuracy(cfg, str(tmp_path / "certified"))
+        monkeypatch.setattr(estimators, "_cholesky_certifies", lambda Q: False)
+        run_gradient_accuracy(cfg, str(tmp_path / "svd"))
+        assert len(certified) >= 120 and sum(certified) > 100
+        assert read_bytes_tree(str(tmp_path / "certified")) == read_bytes_tree(str(tmp_path / "svd"))
 
 
 class TestOptimizationRunner:

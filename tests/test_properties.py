@@ -31,7 +31,13 @@ from dfoline import (
     orthonormal_directions,
 )
 from dfoline.core import NOISE_KINDS
-from dfoline.estimators import ESTIMATORS, estimate_on
+from dfoline.estimators import (
+    _COND_LIMIT,
+    ESTIMATORS,
+    _cholesky_certifies,
+    _condition_past_limit,
+    estimate_on,
+)
 from dfoline.optimizer import GRAD_NORM_TOL
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
@@ -78,6 +84,22 @@ def test_interpolation_is_exact_for_linear_phi(kind, data, n, sigma, c):
     g = estimate_on(kind, oracle, x, sigma, dirs).g
     scale = np.abs(a).sum() * (np.abs(x).max() + sigma) + abs(c)
     np.testing.assert_allclose(g, a, rtol=0.0, atol=4 * n * (n + 2) * 2.0**-52 * scale / sigma)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(n=st.integers(1, 12), log_cond=st.floats(0.0, 12.0), log_scale=st.floats(-170.0, 170.0),
+       seed=seeds)
+def test_conditioning_gate_is_the_svds_decision(n, log_cond, log_scale, seed):
+    """ligd's gate passes Q exactly when np.linalg.cond(Q) < 1e8, and its
+    Cholesky certificate passes no Q that the SVD refuses.  Q = U diag(s) V^T
+    times a scale, its singular values s from 1 down to 1e-12 at most, its
+    scale wide enough that Q Q^T underflows or overflows at either end."""
+    rng = RngStream(seed, 1).generator()
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in "UV")
+    Q = (U * np.logspace(0.0, -log_cond, n)) @ V.T * 10.0**log_scale
+    passes = np.linalg.cond(Q) < _COND_LIMIT
+    assert passes or not _cholesky_certifies(Q)
+    assert (_condition_past_limit(Q) is None) == passes
 
 
 @SETTINGS

@@ -440,6 +440,10 @@ MOMENT_IDENTITIES = {
 }
 
 
+#: Samples that :func:`moment_identity_check` draws at once, as one (chunk, n) array.
+MOMENT_CHUNK = 50_000
+
+
 def moment_identity_check(
     identity_id: int,
     n: int,
@@ -477,9 +481,8 @@ def moment_identity_check(
     total = np.zeros(shape)
     total_sq = np.zeros(shape)
     remaining = samples
-    chunk_size = 50_000
     while remaining > 0:
-        m = min(chunk_size, remaining)
+        m = min(MOMENT_CHUNK, remaining)
         U = gen.standard_normal((m, n))
         w = identity.integrand(U, a)
         if identity.scalar:

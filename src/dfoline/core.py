@@ -175,7 +175,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if not np.isfinite(self.bound) or self.bound < 0:
+        if not math.isfinite(self.bound) or self.bound < 0:
             raise ValueError(f"bound must be finite and >= 0, got {self.bound}")
         if not 0 < self.omega < np.inf:
             raise ValueError(f"omega must be finite and > 0, got {self.omega}")
@@ -187,21 +187,26 @@ def as_point(x, n: int, *, finite: bool = True) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"expected a point of dimension {n}, got shape {x.shape}")
-    if finite and not np.isfinite(x).all():
+    if finite and not all_finite(x):
         raise ValueError("point contains non-finite entries")
     return x
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, without a search of the entries when the
+    sum of their squares is finite, which it is only if every entry is
+    (squares of finite entries past 1.3e154 overflow too, and are searched).
+    ``np.vdot`` warns of nothing, where a sum warns of inf minus inf.  It
+    would copy an F-ordered batch (liod's probes) into C order, so it runs
+    over the entries in memory order; a vector or a row alone is contiguous
+    in either order, and its ravel would only add a call."""
+    v = a if a.ndim < 2 or len(a) == 1 else a.ravel(order="K")
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(a).all())
+
+
 def _first_bad_row(A: np.ndarray) -> int | None:
     """The first row of A (a batch, or its values) with an entry that is not
-    finite, or None.  A finite sum of squares spares the search of the rows;
-    ``np.vdot`` warns of nothing, where a sum warns of inf minus inf.  It
-    would copy an F-ordered batch (liod's probes) into C order, so the sum
-    runs over the entries in memory order.  A row alone is contiguous in
-    either order: the ravel would only add a call to every one-point query."""
-    a = A if len(A) == 1 else A.ravel(order="K")
-    if math.isfinite(np.vdot(a, a)):
-        return None
+    finite, or None."""
     bad = np.flatnonzero(~np.isfinite(A.reshape(len(A), -1)).all(axis=1))
     return int(bad[0]) if len(bad) else None
 
@@ -214,14 +219,19 @@ class Oracle:
     part and its analytic gradient, when known, stay reachable through
     :attr:`phi` and :attr:`grad_phi` for instrumentation only -- reading them
     never touches the evaluation counter.  A ``vectorized`` phi maps an
-    (m, n) batch to m values; any other shape is a ValueError.
+    (m, n) batch to m values; any other shape is a ValueError.  It must
+    treat each row alone: an estimate's center x shares one batch with its
+    probes (see :meth:`evaluate_batch`'s ``head``), and its value must not
+    depend on them.
     ``noise_rng``, when given, is a fresh ``RngStream(noise.seed, 0).generator()``
     built elsewhere (say by :func:`generators`); any generator but a PCG64
     whose seed sequence names that stream is a ValueError.  Uniform and
     adversarial_sign noise is drawn ahead, up to NOISE_BLOCK values at once,
     with the values one draw per call gives; the oracle owns its generator.
     A batch's memory order can change phi's last bits: the presets sum each
-    row of an F-ordered batch, such as liod's probes, one term at a time.
+    row of an F-ordered batch, such as liod's probes, one term at a time,
+    and a row of 8 or more terms of a C-ordered one pairwise, as they sum
+    the row alone.  So liod's center keeps a call of its own.
     """
 
     def __init__(
@@ -260,26 +270,27 @@ class Oracle:
                                else RngStream(self.noise.seed, stream_id=0).generator())
 
     def _noise_values(self, X: np.ndarray) -> np.ndarray:
-        kind = self.noise.kind
         k = X.shape[0]
+        if self._used + k <= len(self._ahead):  # drawn ahead already
+            self._used += k
+            return self._ahead[self._used - k:self._used]
+        kind = self.noise.kind
         if kind == "none" or self.noise.bound == 0.0:
             return np.zeros(k)
         if kind == "sinusoidal":
-            return self.noise.bound * np.sin(self.noise.omega * X.sum(axis=1))
-        if self._used + k > len(self._ahead):
-            # one draw of at least k values, doubling the values drawn so far
-            # up to NOISE_BLOCK; u drawn in one call or in many has the same bits
-            u = self._noise_gen.random(max(k, min(self._drawn, NOISE_BLOCK)))
-            self._drawn += len(u)
-            if kind == "uniform":
-                drawn = self.noise.bound * (2.0 * u - 1.0)
-            else:  # adversarial_sign
-                drawn = np.where(u < 0.5, self.noise.bound, -self.noise.bound)
-            left = self._ahead[self._used:]
-            self._ahead = np.concatenate([left, drawn]) if len(left) else drawn
-            self._used = 0
-        self._used += k
-        return self._ahead[self._used - k:self._used]
+            return self.noise.bound * np.sin(self.noise.omega * np.add.reduce(X, axis=1))
+        # one draw of at least k values, doubling the values drawn so far up
+        # to NOISE_BLOCK; u drawn in one call or in many has the same bits
+        u = self._noise_gen.random(max(k, min(self._drawn, NOISE_BLOCK)))
+        self._drawn += len(u)
+        if kind == "uniform":
+            drawn = self.noise.bound * (2.0 * u - 1.0)
+        else:  # adversarial_sign
+            drawn = np.where(u < 0.5, self.noise.bound, -self.noise.bound)
+        left = self._ahead[self._used:]
+        self._ahead = np.concatenate([left, drawn]) if len(left) else drawn
+        self._used = k
+        return self._ahead[:k]
 
     def _phi_values(self, X: np.ndarray) -> np.ndarray:
         if self.vectorized:
@@ -296,25 +307,39 @@ class Oracle:
             raise ValueError(f"expected a point of dimension {self.dimension}, got shape {x.shape}")
         return float(self.evaluate_batch(x[None, :])[0])
 
-    def evaluate_batch(self, X) -> np.ndarray:
+    def evaluate_batch(self, X, head: int = 0) -> np.ndarray:
         """Evaluate f on every row of ``X``, counting one evaluation per row.
 
         Results are produced in row (index) order, which keeps the noise
-        stream aligned with sequential evaluation of the same points.
+        stream aligned with sequential evaluation of the same points.  The
+        first ``head`` rows are a query of their own, made before the rest:
+        the batch counts, draws noise and fails as a call on them and then a
+        call on the rest would.  A failure in the head counts the head alone;
+        a failure in the rest names its row of the rest, after the head's
+        call is made and counted.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise ValueError(
                 f"expected an (m, {self.dimension}) batch of points, got shape {X.shape}"
             )
-        if (bad := _first_bad_row(X)) is not None:
-            raise EvaluationError(f"query point at batch row {bad} is not finite", X[bad])
-        values = self._phi_values(X) + self._noise_values(X)
-        self.eval_count += X.shape[0]
-        if (bad := _first_bad_row(values)) is not None:
+        a = X if len(X) == 1 else X.ravel(order="K")  # all_finite's test, inline
+        if not math.isfinite(np.vdot(a, a)) and (bad := _first_bad_row(X)) is not None:
+            if bad >= head > 0:
+                self.evaluate_batch(X[:head])
             raise EvaluationError(
-                f"objective returned a non-finite value at batch row {bad}", X[bad]
-            )
+                f"query point at batch row {bad - head if bad >= head else bad} is not finite",
+                X[bad])
+        values = self._phi_values(X) + self._noise_values(X)
+        if not math.isfinite(np.vdot(values, values)) and (
+                bad := _first_bad_row(values)) is not None:
+            if bad < head:  # the rest is never queried: its noise is left for later
+                self._used -= min(self._used, len(X) - head)
+            self.eval_count += head if bad < head else len(X)
+            raise EvaluationError(
+                f"objective returned a non-finite value at batch row "
+                f"{bad - head if bad >= head else bad}", X[bad])
+        self.eval_count += len(X)
         return values
 
     def __repr__(self):

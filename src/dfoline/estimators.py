@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DFOError, Oracle, RngStream, as_point
+from .core import DFOError, Oracle, RngStream, all_finite, as_point
 from .directions import (
     DirectionSet,
     coordinate_sets,
@@ -58,12 +58,12 @@ class GradientEstimate:
     f_center: float | None
 
     def __post_init__(self):
-        if not np.isfinite(self.g).all():
+        if not all_finite(self.g):
             raise DFOError("gradient estimate contains non-finite entries")
 
 
 def _check_geometry(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> np.ndarray:
-    if sigma <= 0 or not np.isfinite(sigma):
+    if sigma <= 0 or not math.isfinite(sigma):
         raise ValueError(f"sampling radius must be positive and finite, got {sigma}")
     x = as_point(x, oracle.dimension, finite=False)
     if dirs.Q.shape[1] != oracle.dimension:
@@ -73,10 +73,22 @@ def _check_geometry(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> np.n
     return x
 
 
-def _value_at(oracle: Oracle, x: np.ndarray) -> float:
-    """f(x), counted, at an x that :func:`_check_geometry` returned: the
-    oracle's batch call on one row, without ``evaluate``'s second check."""
-    return float(oracle.evaluate_batch(x[None, :])[0])
+def _center_and_offsets(oracle: Oracle, x: np.ndarray, sigma: float,
+                        Q: np.ndarray) -> tuple[float, np.ndarray]:
+    """f(x) and f at x + sigma u_i for the rows u_i of Q, at an x that
+    :func:`_check_geometry` returned, counted and failing as a call at x
+    and then a call at the offsets would.  A C-ordered Q's offsets share one
+    batch with x, x first (the oracle's ``head``): each row of a C-ordered
+    batch has the bits it has alone.  The rows of an F-ordered Q (liod's)
+    would not, so its offsets keep their own call."""
+    if not Q.flags.c_contiguous:
+        return (float(oracle.evaluate_batch(x[None, :])[0]),
+                oracle.evaluate_batch(x[None, :] + sigma * Q))
+    X = np.empty((len(Q) + 1, len(x)))
+    X[0] = x
+    np.add(x, sigma * Q, out=X[1:])
+    F = oracle.evaluate_batch(X, head=1)
+    return float(F[0]), F[1:]
 
 
 def gsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate:
@@ -89,8 +101,7 @@ def gsg(oracle: Oracle, x, sigma: float, dirs: DirectionSet) -> GradientEstimate
     scaled-down version of the interpolation estimate, not the same object.
     """
     x = _check_geometry(oracle, x, sigma, dirs)
-    f0 = _value_at(oracle, x)
-    fvals = oracle.evaluate_batch(x[None, :] + sigma * dirs.Q)
+    f0, fvals = _center_and_offsets(oracle, x, sigma, dirs.Q)
     g = gsg_from_values(fvals, f0, sigma, dirs.Q)
     return GradientEstimate(g, f0)
 
@@ -189,8 +200,8 @@ def interpolation_gradient(oracle: Oracle, x, sigma: float, dirs: DirectionSet) 
                 f"direction matrix condition number {cond:.3e} exceeds "
                 f"{_COND_LIMIT:.0e}; redraw the direction set"
             )
-    f0 = _value_at(oracle, x)
-    F = oracle.evaluate_batch(x[None, :] + sigma * dirs.Q) - f0
+    f0, F = _center_and_offsets(oracle, x, sigma, dirs.Q)
+    F = F - f0
     if dirs.kind == "gaussian":
         g = np.linalg.solve(dirs.Q, F / sigma)
     else:
@@ -211,7 +222,7 @@ def relative_error(g, grad_true) -> float:
     """
     g = np.asarray(g, dtype=float)
     grad_true = np.asarray(grad_true, dtype=float)
-    if not np.isfinite(grad_true).all():
+    if not all_finite(grad_true):
         raise ValueError("true gradient contains non-finite entries")
     denom = _norm(grad_true)
     if denom == 0.0:

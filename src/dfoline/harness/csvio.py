@@ -14,6 +14,8 @@ import csv
 import hashlib
 import os
 
+import numpy as np
+
 ACCURACY_COLUMNS = [
     "experiment_id", "function", "n", "estimator", "method", "N", "sigma",
     "trial", "seed", "theta", "log10_theta", "evals", "status",
@@ -52,12 +54,13 @@ ROW_BLOCK = 256
 
 @contextlib.contextmanager
 def csv_file(path, columns: list[str], cfg_hash: str):
-    """Yield ``write(rows)``, which writes rows (sequences of cells in
-    ``columns`` order) as they are iterated, under a config-hash comment
-    line.  The file is ``path`` + ".tmp" until the block ends, then renamed
-    to ``path``; if the block raises, it is removed and ``path`` is left as
-    it was.  The csv module writes a float by repr and None (a NaN here) as
-    empty."""
+    """Yield ``write(rows, nan_free=False)``, which writes rows (sequences of
+    cells in ``columns`` order) as they are iterated, under a config-hash
+    comment line.  The file is ``path`` + ".tmp" until the block ends, then
+    renamed to ``path``; if the block raises, it is removed and ``path`` is
+    left as it was.  The csv module writes a float by repr and None as
+    empty; each NaN cell is written as None, by a pass over every cell
+    unless the caller says the rows hold no NaN."""
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", encoding="utf-8", newline="")
     try:
@@ -65,8 +68,12 @@ def csv_file(path, columns: list[str], cfg_hash: str):
             fh.write(f"# config_sha256={cfg_hash}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            yield lambda rows: writer.writerows([v if v == v else None for v in row]
-                                                for row in rows)
+
+            def write(rows, nan_free=False):
+                writer.writerows(rows if nan_free else
+                                 ([v if v == v else None for v in row] for row in rows))
+
+            yield write
     except BaseException:
         os.remove(tmp)
         raise
@@ -79,6 +86,13 @@ def write_csv(path, columns: list[str], rows, cfg_hash: str) -> None:
         write(map(row.get, columns) for row in rows)
 
 
+def _cells(column: np.ndarray) -> list:
+    """A column's values as Python numbers, None where NaN: a column with
+    no NaN, as most are, needs no pass over its cells."""
+    cells = column.tolist()
+    return [None if v != v else v for v in cells] if np.isnan(column).any() else cells
+
+
 def write_trace(path, trace, cfg_hash: str) -> None:
     """Write an optimization trace, held as one array per column, ROW_BLOCK
     iterates at a time: k, the trace's column of each name in TRACE_COLUMNS
@@ -89,5 +103,6 @@ def write_trace(path, trace, cfg_hash: str) -> None:
         for lo in range(0, size, ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, size)
             status = ["ok"] * (hi - lo - 1) + [trace.status if hi == size else "ok"]
-            write(zip(range(lo, hi), *(getattr(trace, name)[lo:hi].tolist()
-                                       for name in TRACE_COLUMNS[1:-1]), status))
+            write(zip(range(lo, hi), *(_cells(getattr(trace, name)[lo:hi])
+                                       for name in TRACE_COLUMNS[1:-1]), status),
+                  nan_free=True)

@@ -20,6 +20,7 @@ import tempfile
 import numpy as np
 
 from ..bounds import (
+    MOMENT_CHUNK,
     MOMENT_IDENTITIES,
     LineSearchConstants,
     alpha_bar,
@@ -496,10 +497,18 @@ def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
     noise = _noise_model(cfg)
     cfg.setdefault("declared_eps_f", noise.bound)
     small = [n for n in cfg["dimensions"] if n <= _VARIANCE_MAX_N]
-    for check, key, n in [("noise_bound", "trials", get_function(_NOISE_FUNCTION).n),
-                          ("gsg_variance_domination", "variance_reps", max(small, default=0))]:
-        if check in cfg["checks"] and (floats := cfg[key] * n) > MAX_SET_FLOATS:
-            raise ConfigError(f"{key} {cfg[key]:,}: {check} draws {floats:,} floats at once, "
+    n = max(cfg["dimensions"])
+    # (check, key, its value, the floats of the check's largest array)
+    for check, key, value, floats in [
+            ("noise_bound", "trials", cfg["trials"],
+             cfg["trials"] * get_function(_NOISE_FUNCTION).n),
+            ("gsg_variance_domination", "variance_reps", cfg["variance_reps"],
+             cfg["variance_reps"] * max(small, default=0)),
+            # a (chunk, n) draw and (n, n) sums
+            ("gaussian_moment_identities", "dimensions", n,
+             max(min(MOMENT_CHUNK, cfg["samples"]), n) * n)]:
+        if check in cfg["checks"] and floats > MAX_SET_FLOATS:
+            raise ConfigError(f"{key} {value:,}: {check} draws {floats:,} floats at once, "
                               f"above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}")
     results = []
     for name in cfg["checks"]:

@@ -78,8 +78,8 @@ def synthetic_sin(n: int, M: float, L: float) -> TestFunction:
     def value(x):
         x = np.asarray(x, dtype=float)
         odd, even = x[..., 0::2], x[..., 1::2]
-        s = x.sum(axis=-1)
-        return (M * np.sin(odd) + np.cos(even)).sum(axis=-1) + coupling * s * s
+        s = np.add.reduce(x, axis=-1)
+        return np.add.reduce(M * np.sin(odd) + np.cos(even), axis=-1) + coupling * s * s
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
@@ -111,7 +111,7 @@ def quadratic(n: int, mu: float, L: float) -> TestFunction:
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * (diag * x * x).sum(axis=-1)
+        return 0.5 * np.add.reduce(diag * x * x, axis=-1)
 
     def gradient(x):
         return diag * np.asarray(x, dtype=float)
@@ -141,7 +141,7 @@ def rosenbrock(n: int) -> TestFunction:
     def value(x):
         x = np.asarray(x, dtype=float)
         head, tail = x[..., :-1], x[..., 1:]
-        return (100.0 * (tail - head * head) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
+        return np.add.reduce(100.0 * (tail - head * head) ** 2 + (1.0 - head) ** 2, axis=-1)
 
     def gradient(x):
         x = np.asarray(x, dtype=float)

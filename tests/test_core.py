@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfoline import EvaluationError, NoiseModel, Oracle, RngStream, get_function
-from dfoline.core import (DEFAULT_SINUSOID_OMEGA, NOISE_BLOCK, NOISE_KINDS, SEED_BLOCK, as_point,
-                          generators)
+from dfoline.core import (DEFAULT_SINUSOID_OMEGA, NOISE_BLOCK, NOISE_KINDS, SEED_BLOCK,
+                          _first_bad_row, all_finite, as_point, generators)
 from dfoline.harness.csvio import record_seed
 
 
@@ -292,10 +293,77 @@ class TestOracleValidation:
         np.testing.assert_array_equal(o.evaluate_batch(X), [1.0e200, 1.7e308])
         assert o.evaluate(X[1]) == 1.7e308 and o.eval_count == 3
 
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["rows", "vectorized"])
+    @pytest.mark.parametrize("kind", ["uniform", "sinusoidal", "none"])
+    @pytest.mark.parametrize("X", [
+        [[1.0, 2.0], [0.5, 1.0], [2.0, 0.0]],
+        [[1.0, 2.0], [0.5, 1.0], [np.inf, 0.0]],
+        [[np.nan, 2.0], [0.5, 1.0], [2.0, 0.0]],
+        [[3.0, 2.0], [0.5, 1.0], [2.0, 0.0]],
+        [[1.0, 2.0], [0.5, 1.0], [3.0, 0.0], [3.0, 1.0]],
+        [[3.0, 2.0], [np.inf, 1.0]],
+        [[1.0, 2.0]],
+        [[3.0, 2.0]],
+    ], ids=["finite", "rest_rejected", "head_rejected", "head_overflows", "rest_overflows",
+            "both_fail", "head_alone", "head_alone_overflows"])
+    def test_head_is_a_call_of_its_own(self, X, kind, vectorized):
+        """evaluate_batch(X, head=1) returns, counts, draws noise and fails as
+        a call on X[:1] and then one on X[1:] would: the same values, error
+        text, failing point, count and next noise value.  phi overflows at
+        x[0] == 3."""
+        def phi(x):
+            return np.inf if x[0] == 3.0 else float(x[0])
+
+        def vector_phi(X):
+            return np.where(X[:, 0] == 3.0, np.inf, X[:, 0])
+
+        def outcome(calls):
+            oracle = Oracle(vector_phi if vectorized else phi, 2,
+                            NoiseModel(kind, 0.25, seed=4), vectorized=vectorized)
+            values, error = [], None
+            try:
+                for args in calls:
+                    values.append(oracle.evaluate_batch(*args))
+            except EvaluationError as exc:
+                error = (str(exc), exc.x.tobytes())
+            count = oracle.eval_count
+            return (np.concatenate(values).tobytes() if values and not error else None,
+                    error, count, oracle.evaluate([0.0, 0.0]))
+
+        X = np.array(X)
+        assert outcome([(X, 1)]) == outcome([(X[:1],), (X[1:],)])
+
     def test_repr_mentions_name_and_count(self):
         o = Oracle(sphere, 2, name="sphere")
         o.evaluate([0.0, 0.0])
         assert "sphere" in repr(o) and "evals=1" in repr(o)
+
+
+_SPECIAL = [0.0, -0.0, 1.7e308, -1.7e308, 1.0e200, 5.0e-324, -2.2e-308, np.inf, -np.inf, np.nan]
+
+
+class TestAllFinite:
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 6)) | st.tuples(
+        st.just(1), st.integers(1, 12)), order=st.sampled_from("CF"))
+    def test_agrees_with_numpy(self, data, shape, order):
+        """all_finite's sum of squares, with the search behind it, is
+        np.isfinite(a).all() for a batch and for a row of values, in C and
+        F order; _first_bad_row names the first row with an entry that is
+        not finite; and numpy warns of nothing."""
+        entries = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SPECIAL)
+        values = data.draw(st.lists(entries, min_size=shape[0] * shape[1],
+                                    max_size=shape[0] * shape[1]))
+        A = np.array(np.reshape(values, shape), order=order)
+        finite = np.isfinite(A)
+        bad_rows = np.flatnonzero(~finite.all(axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(A) == finite.all()
+            assert all_finite(A[0]) == finite[0].all()
+            assert _first_bad_row(A) == (bad_rows[0] if len(bad_rows) else None)
+            assert _first_bad_row(A[:, 0]) == (
+                np.flatnonzero(~finite[:, 0])[0] if not finite[:, 0].all() else None)
 
 
 class TestNoiseKinds:

@@ -11,6 +11,7 @@ from dfoline import (
     ConditioningError,
     DFOError,
     DirectionSet,
+    EvaluationError,
     NoiseModel,
     Oracle,
     ProblemConstants,
@@ -20,6 +21,7 @@ from dfoline import (
     coordinate_directions,
     directions,
     gaussian_directions,
+    get_function,
     gsg,
     interpolation_error_bound,
     interpolation_gradient,
@@ -32,6 +34,7 @@ from dfoline.estimators import (
     _cholesky_certifies,
     _norm,
     estimate,
+    estimate_on,
 )
 
 
@@ -285,6 +288,68 @@ class TestEstimateCost:
             est = estimate(kind, o, np.ones(n), 0.1, N, RngStream(5, 1))
             assert o.eval_count == spec.evals_per_call(N)
             assert (est.f_center is not None) == spec.measures_center
+
+
+class TestCenterSharesTheBatch:
+    """gsg, ligd and fd evaluate f(x) in their offsets' batch, x first, since
+    their Q is C-ordered; liod's F-ordered Q keeps a call at x and one at the
+    offsets.  Either way an estimate counts, fails and draws noise as those
+    two calls would."""
+
+    @pytest.mark.parametrize("kind", list(ESTIMATORS))
+    def test_oracle_calls_per_estimate(self, kind, monkeypatch):
+        batches, real = [], Oracle.evaluate_batch
+
+        def spy(oracle, X, head=0):
+            batches.append((len(X), head))
+            return real(oracle, X, head)
+
+        monkeypatch.setattr(Oracle, "evaluate_batch", spy)
+        fn = get_function("sin_n10")
+        n = fn.n
+        N = n if ESTIMATORS[kind].interpolates else 4
+        estimate(kind, fn.oracle(NoiseModel("uniform", 1e-6)), np.ones(n), 1e-3, N,
+                 RngStream(2, 1))
+        assert batches == {"gsg": [(N + 1, 1)], "ligd": [(n + 1, 1)], "fd": [(n + 1, 1)],
+                           "liod": [(1, 0), (n, 0)], "cgsg": [(2 * N, 0)]}[kind]
+
+    @pytest.mark.parametrize("kind", ["gsg", "liod", "ligd", "fd"])
+    @pytest.mark.parametrize("scale, sigma, text, count", [
+        (1.0, 1.7e308, None, None),
+        (1.0, 1.0e300, "objective returned a non-finite value at batch row 0", 6),
+        (1.0e200, 1.0e-3, "objective returned a non-finite value at batch row 0", 1),
+    ], ids=["sigma_1.7e308", "offsets_overflow", "center_overflows"])
+    def test_fails_as_two_calls(self, kind, scale, sigma, text, count):
+        """The estimate's error text, failing point, count and next noise value
+        are those of a call at x and then a call at its offsets.  At sigma
+        1.7e308 gsg's and ligd's offsets are rejected as inf, after f(x) is
+        counted (1 evaluation), and fd's and liod's finite offsets overflow
+        phi; at sigma 1e300 every offset overflows phi; at |x| ~ 1e200 phi
+        overflows at x, and the offsets are never counted."""
+        fn = get_function("quad_n5")
+        x = scale * RngStream(9, 2).generator().uniform(-2.0, 2.0, fn.n)
+        dirs = next(ESTIMATORS[kind].sets(fn.n, fn.n, [RngStream(9, 1)]))
+
+        def outcome(run):
+            oracle = fn.oracle(NoiseModel("uniform", 1e-6, seed=9))
+            with pytest.raises(EvaluationError) as info, np.errstate(over="ignore"):
+                run(oracle)
+            return (str(info.value), info.value.x.tobytes(), oracle.eval_count,
+                    oracle.evaluate(np.zeros(fn.n)))
+
+        def two_calls(oracle):
+            oracle.evaluate_batch(x[None, :])
+            oracle.evaluate_batch(x[None, :] + sigma * dirs.Q)
+
+        got = outcome(lambda oracle: estimate_on(kind, oracle, x, sigma, dirs))
+        assert got == outcome(two_calls)
+        if text is None:
+            rejected = kind in ("gsg", "ligd")
+            assert got[0].startswith("query point at batch row" if rejected else
+                                     "objective returned a non-finite value")
+            assert got[2] == (1 if rejected else fn.n + 1)
+        else:
+            assert (got[0], got[2]) == (text, count)
 
 
 class TestEstimatorTable:

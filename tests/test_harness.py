@@ -20,7 +20,9 @@ from dfoline import (
     DFOError,
     EvaluationError,
     NoiseModel,
+    OptimizationTrace,
     RngStream,
+    bounds,
     core,
     directions,
     estimators,
@@ -31,7 +33,7 @@ from dfoline.estimators import ESTIMATORS, UndefinedMetricError, estimate, relat
 from dfoline.harness import cli, config
 from dfoline.harness.cli import main
 from dfoline.harness.config import ConfigError, config_hash, load_config, validate_config
-from dfoline.harness.csvio import record_seed, write_csv
+from dfoline.harness.csvio import TRACE_COLUMNS, record_seed, write_csv, write_trace
 from dfoline.harness import runners
 from dfoline.harness.runners import (
     MAX_BUDGET,
@@ -154,6 +156,23 @@ class TestCsvRoundTrip:
         assert float(back[0]["a"]) == 0.1 + 0.2  # repr round-trips exactly
         assert float(back[1]["a"]) == 1.0e-300
         assert back[0]["d"] == "7"
+
+    def test_trace_nan_cells_are_empty(self, tmp_path):
+        """write_trace passes cell by cell only the columns that hold a NaN;
+        its bytes are those of the same rows each passed cell by cell."""
+        nan = float("nan")
+        trace = OptimizationTrace(
+            x=np.zeros((3, 1)), evals=np.array([2, 4, 6]), f=np.array([1.0, nan, -0.0]),
+            phi=np.array([0.5, 0.1 + 0.2, np.inf]), grad_norm_true=np.full(3, nan),
+            g_norm=np.array([1.0e-300, 2.0, nan]), alpha=np.array([1.0, 0.5, nan]),
+            theta_k=np.array([nan, 0.25, nan]), status="failed", detail="")
+        write_trace(tmp_path / "t.csv", trace, "h")
+        rows = [dict(zip(TRACE_COLUMNS, (k, *(getattr(trace, c)[k].item()
+                                              for c in TRACE_COLUMNS[1:-1]),
+                                         "failed" if k == 2 else "ok"))) for k in range(3)]
+        write_csv(tmp_path / "r.csv", TRACE_COLUMNS, rows, "h")
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+        assert read_csv(tmp_path / "t.csv")[1][0]["theta_k"] == ""
 
     def test_lf_line_endings_and_hash_line(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -1065,6 +1084,42 @@ class TestCli:
         path = self.write_cfg(tmp_path, {"experiment": "verify_bounds", **cfg})
         assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
         assert f"PASS {check}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dimensions, samples, floats", [
+        ([2, 21], 200_000, 1_050_000),
+        ([100_000], 200_000, 10_000_000_000),
+    ], ids=["chunk_of_21", "sums_of_100000"])
+    def test_moment_check_past_cap_exit_two(self, tmp_path, capsys, monkeypatch, dimensions,
+                                            samples, floats):
+        """The moment check draws (min(MOMENT_CHUNK, samples), n) samples at
+        once and sums (n, n) arrays, at each n in ``dimensions``; past
+        MAX_SET_FLOATS it exits 2, naming the key, before any draw or file."""
+        monkeypatch.setattr(runners, "moment_identity_check", lambda *a, **k: pytest.fail())
+        cfg = {"experiment": "verify_bounds", "checks": ["gaussian_moment_identities"],
+               "dimensions": dimensions, "samples": samples}
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert (f"dimensions {max(dimensions):,}: gaussian_moment_identities draws {floats:,} "
+                f"floats at once, above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}") in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+    def test_moment_check_at_cap_runs(self, tmp_path, capsys, monkeypatch):
+        """A chunk of exactly MAX_SET_FLOATS floats, (50,000, 20), is admitted;
+        a stand-in check records the dimensions instead of drawing them."""
+        assert runners.MOMENT_CHUNK * 20 == MAX_SET_FLOATS
+        seen = []
+
+        def check(identity_id, n, **kwargs):
+            seen.append(n)
+            return bounds.MomentCheckResult(identity_id, 0.0, 0.0, 0.0, 1.0, kwargs["samples"])
+
+        monkeypatch.setattr(runners, "moment_identity_check", check)
+        path = self.write_cfg(tmp_path, {"experiment": "verify_bounds", "dimensions": [3, 20],
+                                         "checks": ["gaussian_moment_identities"]})
+        assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert "PASS gaussian_moment_identities" in capsys.readouterr().out
+        assert sorted(set(seen)) == [3, 20]
 
     @pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "set"])
     def test_blas_threads_of_a_run(self, tmp_path, monkeypatch, variable):

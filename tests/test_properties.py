@@ -199,3 +199,22 @@ def test_armijo_accepts_every_step_up_to_alpha_bar(n, mu, ratio, spread, point, 
     roundoff = 1e-12 * (abs(phi_x) + abs(phi_trial) + alpha * g_sq)
     assert armijo_holds(phi_x + eps_f * noise[0], phi_trial + eps_f * noise[1] - roundoff,
                         alpha, g_sq, consts.c1, eps_f)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250, database=None)
+@given(name=presets, m=st.integers(1, 25), log_scale=st.floats(-3.0, 3.0),
+       log_sigma=st.floats(-9.0, 0.0), seed=seeds)
+def test_a_row_stacked_under_a_center_keeps_its_bits(name, m, log_scale, log_sigma, seed):
+    """What the estimators' one batch per estimate rests on: phi of each
+    row of a C-ordered batch, a center x over m offsets x + sigma u, has the
+    bits of phi of that row alone, and of the offsets' batch without x."""
+    fn = get_function(name)
+    gen = RngStream(seed, 2).generator()
+    x = 10.0**log_scale * gen.uniform(-1.0, 1.0, fn.n)
+    X = np.empty((m + 1, fn.n))
+    X[0] = x
+    np.add(x, 10.0**log_sigma * gen.standard_normal((m, fn.n)), out=X[1:])
+    stacked = fn.value(X)
+    alone = np.array([fn.value(row[None, :])[0] for row in X])
+    assert stacked.tobytes() == alone.tobytes()
+    assert stacked[1:].tobytes() == fn.value(X[1:]).tobytes()

@@ -193,13 +193,11 @@ def as_point(x, n: int, *, finite: bool = True) -> np.ndarray:
 
 
 def all_finite(a: np.ndarray) -> bool:
-    """``np.isfinite(a).all()``, without a search of the entries when the
-    sum of their squares is finite, which it is only if every entry is
-    (squares of finite entries past 1.3e154 overflow too, and are searched).
-    ``np.vdot`` warns of nothing, where a sum warns of inf minus inf.  It
-    would copy an F-ordered batch (liod's probes) into C order, so it runs
-    over the entries in memory order; a vector or a row alone is contiguous
-    in either order, and its ravel would only add a call."""
+    """``np.isfinite(a).all()``.  The entries are searched only when the
+    sum of their squares, finite only if every entry is, is not.  ``np.vdot``
+    warns of nothing, where a sum warns of inf minus inf.  It would copy an
+    F-ordered batch (liod's probes) into C order, so it sums in memory order;
+    a vector or a row alone is contiguous in either order."""
     v = a if a.ndim < 2 or len(a) == 1 else a.ravel(order="K")
     return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(a).all())
 

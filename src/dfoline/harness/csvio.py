@@ -68,12 +68,8 @@ def csv_file(path, columns: list[str], cfg_hash: str):
             fh.write(f"# config_sha256={cfg_hash}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-
-            def write(rows, nan_free=False):
-                writer.writerows(rows if nan_free else
-                                 ([v if v == v else None for v in row] for row in rows))
-
-            yield write
+            yield lambda rows, nan_free=False: writer.writerows(
+                rows if nan_free else ([v if v == v else None for v in row] for row in rows))
     except BaseException:
         os.remove(tmp)
         raise

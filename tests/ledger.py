@@ -79,6 +79,11 @@ CASES = {
         "seeds": [0, 1, 2, 3], "noise": {"kind": "uniform", "bound": 1.0e-9},
         "methods": [_method("gsg_ls", "gsg", 1.0e-4, {"type": "line_search", "eps_f": 0.0})]},
         []),
+    # 8 or more seeds reaching a k: the envelope's per-k sums are pairwise
+    "optimize_nine_seeds": ("optimize", {
+        "experiment": "optimize", "functions": ["quad_n10"], "budget": 150,
+        "seeds": list(range(9)), "noise": {"kind": "uniform", "bound": 1.0e-6},
+        "methods": [_method("liod_ls", "liod", 1.0e-4, _LS)]}, []),
     "optimize_failures": ("optimize", {
         "experiment": "optimize", "functions": ["quad_n5"], "budget": 3000, "seeds": [0],
         "noise": {"kind": "adversarial_sign", "bound": 1.0e-8}, "x0": "ones", "methods": [

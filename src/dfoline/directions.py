@@ -9,6 +9,7 @@ across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -18,16 +19,20 @@ from .core import RngStream, _stream, generators
 
 DIRECTION_KINDS = ("coordinate", "gaussian", "orthonormal")
 
-#: Direction sets :func:`orthonormal_blocks` draws at once, with one QR.
+#: Most direction sets :func:`orthonormal_blocks` draws at once, with one QR.
 ORTHONORMAL_BLOCK = 16
-#: Most Gaussian floats one such block stacks: 16 sets up to n = N = 22.
+#: Most Gaussian floats one block of sets holds (at least one set): 16
+#: orthonormal sets up to n = N = 22, and 81 Gaussian sets at n = N = 10.
 _BLOCK_FLOATS = 2**13
 
 
 @dataclass(frozen=True)
 class DirectionSet:
     """An N x n matrix whose rows are the sampling directions u_i, and the
-    stream it was drawn from.  The oracle rejects the queries of a non-finite Q."""
+    stream that names it: the stream it was drawn from, or in a
+    :func:`~dfoline.minimize` run, whose sets are all drawn from the run's
+    one generator, iteration k's ``rng.child(k)``.  ligd's redraw comes from
+    ``stream.child(1)``.  The oracle rejects the queries of a non-finite Q."""
 
     Q: np.ndarray
     kind: str
@@ -83,35 +88,61 @@ def orthonormal_directions(n: int, N: int, rng: RngStream) -> DirectionSet:
     return DirectionSet(_haar_rows(G), "orthonormal", rng)
 
 
-def coordinate_sets(n: int, N: int, streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
+def coordinate_sets(n: int, N: int, streams: Iterable[RngStream],
+                    gen: np.random.Generator | None = None) -> Iterator[DirectionSet]:
     """``coordinate_directions(n)`` for each stream, checked to be an
-    :class:`~dfoline.core.RngStream`; nothing is drawn, and N must be n."""
+    :class:`~dfoline.core.RngStream`; nothing is drawn (``gen`` is unused),
+    and N must be n."""
     if N != n:
         raise ValueError(f"interpolation needs exactly N = n = {n} directions, got {N}")
     for _ in map(_stream, streams):
         yield coordinate_directions(n)
 
 
-def gaussian_sets(n: int, N: int, streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
+def _normal_blocks(shape: tuple[int, int], streams: Iterable[RngStream],
+                   gen: np.random.Generator | None, most) -> Iterator[tuple[list, np.ndarray]]:
+    """One standard-normal draw of ``shape`` per stream, in blocks of up to
+    ``most`` draws that fit in _BLOCK_FLOATS floats (at least one): yields
+    each block's streams and its draws G, (m, *shape).  With ``gen`` None,
+    each draw comes from its stream's own generator, seeded in blocks by
+    :func:`~dfoline.core.generators`.  Otherwise every draw comes from
+    ``gen`` in order, one call per block, with the bits of one call per draw."""
+    block = max(1, min(most, _BLOCK_FLOATS // (shape[0] * shape[1])))
+    if gen is None:
+        streams, seeded = itertools.tee(streams)
+        gens = generators(seeded)
+    while chunk := list(itertools.islice(streams, block)):
+        G = np.empty((len(chunk), *shape))
+        if gen is not None:
+            gen.standard_normal(out=G)
+        else:
+            for row, own in zip(G, gens):  # G first: no generator is taken past the block
+                own.standard_normal(out=row)
+        yield chunk, G
+
+
+def gaussian_sets(n: int, N: int, streams: Iterable[RngStream],
+                  gen: np.random.Generator | None = None) -> Iterator[DirectionSet]:
     """``gaussian_directions(n, N, s)`` for each s in ``streams``, bit for
-    bit, from the block-seeded :func:`~dfoline.core.generators`."""
+    bit, from the block-seeded :func:`~dfoline.core.generators`, one set at
+    a time.  Given ``gen``, the sets are drawn from it in order instead, as
+    many at once as fit in _BLOCK_FLOATS floats, each naming its stream."""
     if n < 1 or N < 1:
         raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
-    streams, seeded = itertools.tee(streams)
-    for stream, gen in zip(streams, generators(seeded)):
-        yield DirectionSet(gen.standard_normal((N, n)), "gaussian", stream)
+    for chunk, G in _normal_blocks((N, n), streams, gen, 1 if gen is None else math.inf):
+        for stream, Q in zip(chunk, G):
+            yield DirectionSet(Q, "gaussian", stream)
 
 
-def orthonormal_blocks(n: int, N: int, streams: Iterable[RngStream]) -> Iterator[DirectionSet]:
+def orthonormal_blocks(n: int, N: int, streams: Iterable[RngStream],
+                       gen: np.random.Generator | None = None) -> Iterator[DirectionSet]:
     """``orthonormal_directions(n, N, s)`` for each s in ``streams``, bit for
-    bit, from the block-seeded :func:`~dfoline.core.generators`.  The draws
-    of ORTHONORMAL_BLOCK sets, or of as many as fit in _BLOCK_FLOATS floats
-    (at least one), are stacked and share one QR call; sets of a block the
-    caller never reads are discarded."""
+    bit, from the block-seeded :func:`~dfoline.core.generators`; given
+    ``gen``, the sets' draws come from it in order instead, each set naming
+    its stream.  The draws of ORTHONORMAL_BLOCK sets, or of as many as fit
+    in _BLOCK_FLOATS floats (at least one), are stacked and share one QR
+    call; sets of a block the caller never reads are discarded."""
     _check_orthonormal(n, N)
-    block = max(1, min(ORTHONORMAL_BLOCK, _BLOCK_FLOATS // (n * N)))
-    streams, seeded = itertools.tee(streams)
-    gens = generators(seeded)
-    while draws := [gen.standard_normal((n, N)) for gen in itertools.islice(gens, block)]:
-        for Q, stream in zip(_haar_rows(np.stack(draws)), streams):
+    for chunk, G in _normal_blocks((n, N), streams, gen, ORTHONORMAL_BLOCK):
+        for stream, Q in zip(chunk, _haar_rows(G)):
             yield DirectionSet(Q, "orthonormal", stream)

@@ -20,12 +20,12 @@ lives here too, since every accuracy experiment reports it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DFOError, Oracle, RngStream, all_finite, as_point
+from .core import DFOError, Oracle, all_finite, as_point
 from .directions import (
     DirectionSet,
     coordinate_sets,
@@ -234,8 +234,10 @@ def relative_error(g, grad_true) -> float:
 class EstimatorKind:
     """One row of :data:`ESTIMATORS`.
 
-    ``sets(n, N, streams)`` yields the kind's N directions in dimension n for
-    each stream, block-seeded where it draws (:mod:`dfoline.directions`).
+    ``sets(n, N, streams, gen=None)`` yields the kind's N directions in
+    dimension n for each stream: drawn from the stream's own generator,
+    block-seeded, or given one generator ``gen``, from it in order and in
+    blocks, each set naming its stream (:mod:`dfoline.directions`).
     ``formula`` names a module-level function of this module, looked up at
     call time, so a wrapper installed on the module sees every call: the
     benchmark's tracer (``perfbench/spans.py``) times the formulas by
@@ -245,7 +247,7 @@ class EstimatorKind:
     spend one of their evaluations on f(x) and return it as ``f_center``.
     """
 
-    sets: Callable[[int, int, Iterable[RngStream]], Iterator[DirectionSet]]
+    sets: Callable[..., Iterator[DirectionSet]]
     formula: str
     interpolates: bool
     adaptive: bool

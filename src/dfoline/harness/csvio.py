@@ -54,13 +54,15 @@ ROW_BLOCK = 256
 
 @contextlib.contextmanager
 def csv_file(path, columns: list[str], cfg_hash: str):
-    """Yield ``write(rows, nan_free=False)``, which writes rows (sequences of
-    cells in ``columns`` order) as they are iterated, under a config-hash
-    comment line.  The file is ``path`` + ".tmp" until the block ends, then
-    renamed to ``path``; if the block raises, it is removed and ``path`` is
-    left as it was.  The csv module writes a float by repr and None as
-    empty; each NaN cell is written as None, by a pass over every cell
-    unless the caller says the rows hold no NaN."""
+    """Yield ``write(rows, nan_free=False, fmt=None)``, which writes rows
+    (sequences of cells in ``columns`` order) as they are iterated, under a
+    config-hash comment line.  The file is ``path`` + ".tmp" until the block
+    ends, then renamed to ``path``; if the block raises, it is removed and
+    ``path`` is left as it was.  The csv module writes a float by repr and
+    None as empty; each NaN cell is written as None, by a pass over every
+    cell unless the caller says the rows hold no NaN.  Given ``fmt``, a
+    %-format of one whole line, each row is written as ``fmt % row``
+    instead: the caller vouches that the csv module would write the same."""
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", encoding="utf-8", newline="")
     try:
@@ -68,8 +70,15 @@ def csv_file(path, columns: list[str], cfg_hash: str):
             fh.write(f"# config_sha256={cfg_hash}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            yield lambda rows, nan_free=False: writer.writerows(
-                rows if nan_free else ([v if v == v else None for v in row] for row in rows))
+
+            def write(rows, nan_free=False, fmt=None):
+                if fmt is not None:
+                    fh.writelines(map(fmt.__mod__, rows))  # one line alive at a time
+                else:
+                    writer.writerows(rows if nan_free else
+                                     ([v if v == v else None for v in row] for row in rows))
+
+            yield write
     except BaseException:
         os.remove(tmp)
         raise
@@ -89,16 +98,26 @@ def _cells(column: np.ndarray) -> list:
     return [None if v != v else v for v in cells] if np.isnan(column).any() else cells
 
 
+#: One trace row with no NaN cell, as the csv module writes it: the ints
+#: k and evals by str, the floats by repr, and the status word unquoted.
+_TRACE_ROW = "%d,%d,%r,%r,%r,%r,%r,%r,%s\n"
+
+
 def write_trace(path, trace, cfg_hash: str) -> None:
     """Write an optimization trace, held as one array per column, ROW_BLOCK
     iterates at a time: k, the trace's column of each name in TRACE_COLUMNS
     as Python numbers, and the status, "ok" but on the last iterate, which
-    holds ``trace.status``."""
+    holds ``trace.status``.  A block with no NaN cell is formatted by
+    _TRACE_ROW, one line at a time; one with a NaN goes through the csv
+    writer."""
     size = len(trace.evals)
     with csv_file(path, TRACE_COLUMNS, cfg_hash) as write:
         for lo in range(0, size, ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, size)
             status = ["ok"] * (hi - lo - 1) + [trace.status if hi == size else "ok"]
-            write(zip(range(lo, hi), *(_cells(getattr(trace, name)[lo:hi])
-                                       for name in TRACE_COLUMNS[1:-1]), status),
-                  nan_free=True)
+            columns = [getattr(trace, name)[lo:hi] for name in TRACE_COLUMNS[1:-1]]
+            if any(np.isnan(column).any() for column in columns):
+                write(zip(range(lo, hi), *map(_cells, columns), status), nan_free=True)
+            else:
+                write(zip(range(lo, hi), *(column.tolist() for column in columns), status),
+                      fmt=_TRACE_ROW)

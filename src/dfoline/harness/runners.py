@@ -22,6 +22,7 @@ import numpy as np
 from ..bounds import (
     MOMENT_CHUNK,
     MOMENT_IDENTITIES,
+    InfeasibleConstantsError,
     LineSearchConstants,
     alpha_bar,
     eta,
@@ -80,8 +81,10 @@ def _records(fn, noise: NoiseModel, seeds, kind=None, N=0):
     """(seed, oracle, point generator, directions) for each record seed, from
     the record's own streams, seeded in blocks: the oracle's noise from
     ``RngStream(seed, 0)``, the point generator from stream 2, and from
-    stream 1 the record's set of N directions of ``ESTIMATORS[kind]`` or,
-    with no kind, the stream itself (``minimize`` draws from its children).
+    stream 1 the record's set of N directions of ``ESTIMATORS[kind]``,
+    drawn from that stream's own generator, or, with no kind, the stream
+    itself (``minimize`` draws every set of its run from one generator of
+    it, in order).
     ``seeds`` is read as the records are, a block ahead at most."""
     seeds, for_dirs, for_noise, for_points = itertools.tee(seeds, 4)
     dirs = (RngStream(seed, 1) for seed in for_dirs)
@@ -414,12 +417,28 @@ def _check_moment_identities(cfg, root, noise) -> dict:
                        f"{len(cases)} identity checks at {samples} samples, 3 SE tolerance")
 
 
+#: The line search constants c1 and tau of the armijo_decrease_guarantee check.
+_ARMIJO_C1, _ARMIJO_TAU = 0.2, 0.3
+
+
+def _armijo_constants(theta: float) -> LineSearchConstants:
+    """The Armijo check's constants at ``theta``; a theta that its fixed c1
+    cannot use, at or above (1 - c1)/(2 - c1), is a ConfigError."""
+    try:
+        return LineSearchConstants(c1=_ARMIJO_C1, tau=_ARMIJO_TAU, theta=theta)
+    except InfeasibleConstantsError as exc:
+        raise ConfigError(
+            f"theta {theta}: armijo_decrease_guarantee fixes c1 = {_ARMIJO_C1} and needs "
+            f"theta below (1 - c1)/(2 - c1) = {(1 - _ARMIJO_C1) / (2 - _ARMIJO_C1):.6g}"
+        ) from exc
+
+
 def _check_armijo_guarantee(cfg, root, noise) -> dict:
     eps_f = noise.bound
     theta = cfg["theta"]
     trials = min(cfg["trials"], 200)
     fn = get_function("quad_n5")
-    c = LineSearchConstants(c1=0.2, tau=0.3, theta=theta)
+    c = _armijo_constants(theta)
     abar = alpha_bar(c, fn.constants.L)
     eta_val = eta(c, fn.constants.L)
     cases = []
@@ -510,6 +529,8 @@ def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
         if check in cfg["checks"] and floats > MAX_SET_FLOATS:
             raise ConfigError(f"{key} {value:,}: {check} draws {floats:,} floats at once, "
                               f"above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}")
+    if "armijo_decrease_guarantee" in cfg["checks"]:
+        _armijo_constants(cfg["theta"])
     results = []
     for name in cfg["checks"]:
         try:

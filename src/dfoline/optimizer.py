@@ -320,11 +320,14 @@ def minimize(
 ) -> OptimizationTrace:
     """Run the estimate-then-step loop until the budget, a stall, or ||g|| ~ 0.
 
-    Iteration k's direction set is drawn from the sub-stream ``rng.child(k)``,
-    so runs are bit-reproducible given (seed, config).  The sets depend on
-    nothing else, so the child streams are seeded in blocks, and orthonormal
-    sets drawn in blocks with one QR call, with the bits numpy gives each
-    stream and set alone (the kind's ``ESTIMATORS[kind].sets``).
+    Every direction set of the run is drawn in order from one generator of
+    ``rng``, so runs are bit-reproducible given (seed, config).  The sets
+    depend on nothing else, so they are drawn in blocks (the kind's
+    ``ESTIMATORS[kind].sets``), with the bits of one draw per iteration:
+    Gaussian sets as many at once as fit in ``directions._BLOCK_FLOATS``
+    floats, orthonormal ones with one QR call per block.  Iteration k's set
+    is named ``rng.child(k)``, and ligd's one redraw of it comes from
+    ``rng.child(k).child(1)``, which shifts no later draw.
     The trace holds every iterate including the final one, and ends
     "converged", "budget_exhausted", "noise_floor", or "failed" (see
     ``trace.detail``).  A :class:`DFOError` raised inside the loop ends the
@@ -350,7 +353,8 @@ def minimize(
     if not isinstance(stepper, tuple(STEPPERS.values())):
         raise TypeError(f"unknown stepper config {type(stepper)!r}")
     step = stepper.start(n)
-    sets = ESTIMATORS[estimator.kind].sets(n, N, map(rng.child, itertools.count()))
+    sets = ESTIMATORS[estimator.kind].sets(n, N, map(rng.child, itertools.count()),
+                                           rng.generator())
 
     extra = 1 if isinstance(stepper, LineSearchConfig) else 0
     extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart

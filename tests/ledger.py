@@ -12,6 +12,10 @@ Rewrite the ledger from the code of this checkout, after a deliberate
 output change, with
 
     PYTHONPATH=src python tests/ledger.py
+
+and list first what such a rewrite would move, writing nothing, with
+
+    PYTHONPATH=src python tests/ledger.py --diff
 """
 
 from __future__ import annotations
@@ -182,6 +186,31 @@ def first_difference(expected: dict, data: bytes) -> str:
     return "each line's digest agrees, the whole file's does not"
 
 
+def differences(name: str, expected: dict, outputs: dict[str, bytes]) -> list[str]:
+    """Each output of case ``name`` whose digest is not the one ``expected``
+    (the case's ledger entries) holds, missing or not in the ledger, with
+    its first differing line."""
+    problems = [f"{name}: {key} is missing" for key in expected if key not in outputs]
+    problems += [f"{name}: {key} is not in the ledger" for key in outputs if key not in expected]
+    problems += [f"{name}: {key}: {first_difference(expected[key], data)}"
+                 for key, data in outputs.items()
+                 if key in expected and entry(data)["sha256"] != expected[key]["sha256"]]
+    return problems
+
+
+def diff() -> int:
+    """Print every output of every case whose digest would move, and how
+    many; return the count."""
+    recorded = json.loads(LEDGER.read_text(encoding="utf-8"))["cases"]
+    moved = [f"{name}: not in the ledger" for name in CASES if name not in recorded]
+    moved += [f"{name}: in the ledger, not a case" for name in recorded if name not in CASES]
+    for name in (name for name in CASES if name in recorded):
+        with tempfile.TemporaryDirectory() as tmp:
+            moved += differences(name, recorded[name], run_case(name, tmp))
+    print("\n".join([*moved, f"{len(moved)} outputs would move"]))
+    return len(moved)
+
+
 def build() -> dict:
     cases = {}
     for name in CASES:
@@ -191,7 +220,12 @@ def build() -> dict:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--diff"]):
+        sys.exit(f"usage: {sys.argv[0]} [--diff]")
     with np.errstate(all="ignore"):
+        if sys.argv[1:]:
+            diff()
+            sys.exit()
         ledger = build()
     LEDGER.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {sum(len(c) for c in ledger['cases'].values())} entries of "

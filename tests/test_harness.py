@@ -1121,6 +1121,30 @@ class TestCli:
         assert "PASS gaussian_moment_identities" in capsys.readouterr().out
         assert sorted(set(seen)) == [3, 20]
 
+    def test_armijo_theta_below_its_limit_runs(self, tmp_path, capsys):
+        """The Armijo check fixes c1 = 0.2, so theta must be below
+        (1 - c1)/(2 - c1) = 0.444...; 0.44 is."""
+        path = self.write_cfg(tmp_path, {"experiment": "verify_bounds", "theta": 0.44,
+                                         "checks": ["armijo_decrease_guarantee"], "trials": 20})
+        assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert "PASS armijo_decrease_guarantee" in capsys.readouterr().out
+
+    def test_armijo_theta_past_its_limit_exit_two(self, tmp_path, capsys, monkeypatch):
+        """A theta the Armijo check cannot use exits 2, naming theta and the
+        limit, before any check runs; with the check not selected it runs."""
+        cfg = {"experiment": "verify_bounds", "theta": 0.45,
+               "checks": ["noise_bound", "armijo_decrease_guarantee"]}
+        monkeypatch.setitem(runners._CHECKS, "noise_bound", lambda *args: pytest.fail())
+        path = self.write_cfg(tmp_path, cfg)
+        assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert ("theta 0.45: armijo_decrease_guarantee fixes c1 = 0.2 and needs theta below "
+                "(1 - c1)/(2 - c1) = 0.444444") in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+        monkeypatch.undo()
+        path = self.write_cfg(tmp_path, {**cfg, "checks": ["noise_bound"]})
+        assert main(["verify-bounds", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "set"])
     def test_blas_threads_of_a_run(self, tmp_path, monkeypatch, variable):
         """With OPENBLAS_NUM_THREADS unset, a run uses one thread of numpy's

@@ -40,11 +40,6 @@ def test_case_writes_the_ledgers_bytes(name, tmp_path):
     case, the output and its first differing line."""
     if (difference := environment_difference()) is not None:
         pytest.skip(f"output bits not comparable here: {difference}")
-    expected = RECORDED["cases"][name]
-    outputs = ledger.run_case(name, str(tmp_path))
-    problems = [f"{name}: {key} is missing" for key in expected if key not in outputs]
-    problems += [f"{name}: {key} is not in the ledger" for key in outputs if key not in expected]
-    problems += [f"{name}: {key}: {ledger.first_difference(expected[key], data)}"
-                 for key, data in outputs.items()
-                 if key in expected and ledger.entry(data)["sha256"] != expected[key]["sha256"]]
+    problems = ledger.differences(name, RECORDED["cases"][name],
+                                  ledger.run_case(name, str(tmp_path)))
     assert not problems, "\n".join(problems)

@@ -22,6 +22,7 @@ from dfoline import (
     core,
     corpus,
     directions,
+    estimators,
     eta,
     get_function,
     LineSearchConstants,
@@ -415,12 +416,67 @@ class TestDirectionBlocks:
     ], ids=["liod_line_search", "gsg_fixed"])
     def test_seed_blocks_give_the_trace_of_one_stream_per_set(
             self, tmp_path, monkeypatch, kind, stepper, budget):
-        """Child streams are seeded core.SEED_BLOCK at a time; a run past the
-        first block has the bytes of one stream seeded per iteration."""
+        """A run seeds no child stream, so seeding core.SEED_BLOCK streams at
+        once or one at a time gives a run past the first block its bytes."""
         trace, blocked = self.trace_bytes(tmp_path, budget, kind, stepper)
         assert trace.iterations > core.SEED_BLOCK
         monkeypatch.setattr(core, "SEED_BLOCK", 1)
         assert self.trace_bytes(tmp_path, budget, kind, stepper)[1] == blocked
+
+
+class TestInOrderDraws:
+    """minimize draws every direction set of a run in order from one
+    generator of its stream, as many at once as fit in
+    directions._BLOCK_FLOATS floats; iteration k's set is named rng.child(k)."""
+
+    @pytest.mark.parametrize("kind, stepper, budget", [
+        ("gsg", FixedStepConfig(alpha=0.02), 1500),
+        ("cgsg", FixedStepConfig(alpha=0.02), 3000),
+        ("ligd", LineSearchConfig(eps_f=1.0e-6), 1500),
+        ("liod", LineSearchConfig(eps_f=1.0e-6), 1500),
+    ], ids=["gsg", "cgsg", "ligd", "liod"])
+    def test_sets_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, kind, stepper,
+                                                  budget):
+        """A run past its first block that ends mid-block has the bytes it
+        has when each block holds one set."""
+        trace, blocked = TestDirectionBlocks.trace_bytes(tmp_path, budget, kind, stepper)
+        block = directions._BLOCK_FLOATS // 100  # sets at n = N = 10
+        if kind == "liod":
+            block = min(block, directions.ORTHONORMAL_BLOCK)
+        assert trace.iterations > block and 1 < trace.iterations % block < block - 1
+        monkeypatch.setattr(directions, "_BLOCK_FLOATS", 1)
+        assert TestDirectionBlocks.trace_bytes(tmp_path, budget, kind, stepper)[1] == blocked
+
+    def test_ligd_redraw_comes_from_the_child_of_its_stream(self, monkeypatch):
+        """When the gate refuses iteration k's first ligd draw, the redraw is
+        gaussian_directions(n, n, rng.child(k).child(1)), and every later
+        iteration gets the set of the run without the refusal: the redraw
+        takes nothing from the run's generator."""
+        fn, rng, k = quadratic(10, 1.0, 10.0), RngStream(8, 1), 90  # mid second block
+        real = estimators._condition_past_limit
+
+        def tested_sets(refuse=None):
+            """The Q of each call of ligd's gate, in order; with ``refuse``,
+            the gate refuses the Q of that call."""
+            tested = []
+
+            def gate(Q):
+                tested.append(Q.tobytes())
+                return math.inf if len(tested) - 1 == refuse else real(Q)
+
+            monkeypatch.setattr(estimators, "_condition_past_limit", gate)
+            trace = minimize(fn.oracle(NoiseModel("uniform", 1.0e-6, seed=3)), np.ones(10),
+                             EstimatorConfig(kind="ligd", sigma=1.0e-4),
+                             LineSearchConfig(eps_f=1.0e-6), 3000, rng)
+            assert trace.status == "budget_exhausted"
+            return tested
+
+        plain, forced = tested_sets(), tested_sets(refuse=k)
+        assert forced[:k + 1] == plain[:k + 1]
+        redraw = directions.gaussian_directions(10, 10, rng.child(k).child(1))
+        assert forced[k + 1] == redraw.Q.tobytes()
+        later = forced[k + 2:]
+        assert len(later) > 100 and later == plain[k + 1:k + 1 + len(later)]
 
 
 def preset(name, kind="none", bound=0.0):

@@ -4,8 +4,12 @@ Every property runs a fixed, derandomized set of examples, so the suite stays
 deterministic and its run time bounded.
 """
 
+import csv
 import dataclasses
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -31,6 +35,8 @@ from dfoline import (
     orthonormal_directions,
 )
 from dfoline.core import NOISE_KINDS
+from dfoline.harness.csvio import ROW_BLOCK, TRACE_COLUMNS, write_trace
+from dfoline.optimizer import GRAD_NORM_TOL, OptimizationTrace
 from dfoline.estimators import (
     _COND_LIMIT,
     ESTIMATORS,
@@ -38,7 +44,6 @@ from dfoline.estimators import (
     _condition_past_limit,
     estimate_on,
 )
-from dfoline.optimizer import GRAD_NORM_TOL
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=100, database=None)
 
@@ -218,3 +223,40 @@ def test_a_row_stacked_under_a_center_keeps_its_bits(name, m, log_scale, log_sig
     alone = np.array([fn.value(row[None, :])[0] for row in X])
     assert stacked.tobytes() == alone.tobytes()
     assert stacked[1:].tobytes() == fn.value(X[1:]).tobytes()
+
+
+#: Floats whose repr is easy to get wrong: signed zeros and infinities, the
+#: least subnormal, the largest float the configs allow, and the points
+#: where repr turns from positional to exponent notation (1e16, 1e-5).
+edge_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e16,
+                               9999999999999998.0, 1e-5, 0.0001, 1.7e308, 0.1 + 0.2])
+
+
+@SETTINGS
+@given(floats=st.lists(edge_floats | st.floats(allow_nan=False), min_size=1, max_size=40),
+       evals=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=10),
+       size=st.integers(1, 3 * ROW_BLOCK), nan_at=st.none() | st.integers(0, 3 * ROW_BLOCK),
+       status=st.sampled_from(["converged", "budget_exhausted", "noise_floor", "failed"]))
+def test_trace_writer_writes_the_csv_writers_bytes(floats, evals, size, nan_at, status):
+    """write_trace formats each block of ROW_BLOCK rows with no NaN itself:
+    its file has the bytes csv.writer writes for the same rows, a NaN cell
+    empty, whether or not a block holds a NaN."""
+    columns = np.resize(np.array(floats), (6, size))  # each column a shift of the floats
+    if nan_at is not None and nan_at < size:
+        columns[nan_at % 6, nan_at] = math.nan
+    trace = OptimizationTrace(np.zeros((size, 1)), np.resize(np.array(evals), size), *columns,
+                              status=status, detail="")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace(path, trace, "h")
+        with open(path, "rb") as fh:
+            written = fh.read()
+    expected = io.StringIO(newline="")
+    expected.write("# config_sha256=h\n")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(TRACE_COLUMNS)
+    for k in range(size):
+        cells = [getattr(trace, name)[k].item() for name in TRACE_COLUMNS[1:-1]]
+        writer.writerow([k, *(None if v != v else v for v in cells),
+                         status if k == size - 1 else "ok"])
+    assert written == expected.getvalue().encode()

@@ -129,7 +129,12 @@ def gaussian_sets(n: int, N: int, streams: Iterable[RngStream],
     many at once as fit in _BLOCK_FLOATS floats, each naming its stream."""
     if n < 1 or N < 1:
         raise ValueError(f"need n >= 1 and N >= 1, got n={n}, N={N}")
-    for chunk, G in _normal_blocks((N, n), streams, gen, 1 if gen is None else math.inf):
+    if gen is None:  # a draw per stream gains nothing from a block
+        streams, seeded = itertools.tee(streams)
+        for stream, own in zip(streams, generators(seeded)):
+            yield DirectionSet(own.standard_normal((N, n)), "gaussian", stream)
+        return
+    for chunk, G in _normal_blocks((N, n), streams, gen, math.inf):
         for stream, Q in zip(chunk, G):
             yield DirectionSet(Q, "gaussian", stream)
 

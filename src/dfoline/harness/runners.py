@@ -417,15 +417,15 @@ def _check_moment_identities(cfg, root, noise) -> dict:
                        f"{len(cases)} identity checks at {samples} samples, 3 SE tolerance")
 
 
-#: The line search constants c1 and tau of the armijo_decrease_guarantee check.
-_ARMIJO_C1, _ARMIJO_TAU = 0.2, 0.3
+#: The Armijo sufficient-decrease constant of the armijo_decrease_guarantee check.
+_ARMIJO_C1 = 0.2
 
 
 def _armijo_constants(theta: float) -> LineSearchConstants:
     """The Armijo check's constants at ``theta``; a theta that its fixed c1
     cannot use, at or above (1 - c1)/(2 - c1), is a ConfigError."""
     try:
-        return LineSearchConstants(c1=_ARMIJO_C1, tau=_ARMIJO_TAU, theta=theta)
+        return LineSearchConstants(c1=_ARMIJO_C1, tau=0.3, theta=theta)
     except InfeasibleConstantsError as exc:
         raise ConfigError(
             f"theta {theta}: armijo_decrease_guarantee fixes c1 = {_ARMIJO_C1} and needs "

@@ -382,8 +382,11 @@ class TestMinimize:
 
 
 class TestDirectionBlocks:
-    """minimize draws liod's direction sets ORTHONORMAL_BLOCK iterations at a
-    time; the trace must be the one a draw per iteration gives, byte for byte."""
+    """minimize draws every direction set of a run in order from one
+    generator of its stream, as many at once as fit in
+    directions._BLOCK_FLOATS floats (liod's ORTHONORMAL_BLOCK at most, with
+    one QR); the trace must be the one a draw per iteration gives, byte for
+    byte, and iteration k's set is named rng.child(k)."""
 
     @staticmethod
     def trace_bytes(tmp_path, budget, kind="liod", stepper=LineSearchConfig(eps_f=1.0e-6)):
@@ -423,12 +426,6 @@ class TestDirectionBlocks:
         monkeypatch.setattr(core, "SEED_BLOCK", 1)
         assert self.trace_bytes(tmp_path, budget, kind, stepper)[1] == blocked
 
-
-class TestInOrderDraws:
-    """minimize draws every direction set of a run in order from one
-    generator of its stream, as many at once as fit in
-    directions._BLOCK_FLOATS floats; iteration k's set is named rng.child(k)."""
-
     @pytest.mark.parametrize("kind, stepper, budget", [
         ("gsg", FixedStepConfig(alpha=0.02), 1500),
         ("cgsg", FixedStepConfig(alpha=0.02), 3000),
@@ -439,13 +436,13 @@ class TestInOrderDraws:
                                                   budget):
         """A run past its first block that ends mid-block has the bytes it
         has when each block holds one set."""
-        trace, blocked = TestDirectionBlocks.trace_bytes(tmp_path, budget, kind, stepper)
+        trace, blocked = self.trace_bytes(tmp_path, budget, kind, stepper)
         block = directions._BLOCK_FLOATS // 100  # sets at n = N = 10
         if kind == "liod":
             block = min(block, directions.ORTHONORMAL_BLOCK)
         assert trace.iterations > block and 1 < trace.iterations % block < block - 1
         monkeypatch.setattr(directions, "_BLOCK_FLOATS", 1)
-        assert TestDirectionBlocks.trace_bytes(tmp_path, budget, kind, stepper)[1] == blocked
+        assert self.trace_bytes(tmp_path, budget, kind, stepper)[1] == blocked
 
     def test_ligd_redraw_comes_from_the_child_of_its_stream(self, monkeypatch):
         """When the gate refuses iteration k's first ligd draw, the redraw is

@@ -11,8 +11,9 @@ accepted by the three experiment subcommands and changes nothing.  Unless
 numpy's bundled OpenBLAS: its threads spin on the small matrix products
 here and add CPU time, not speed.
 
-Exit codes: 0 success, 2 configuration error, 3 a verify-bounds check that
-failed (a bound violation, no trial, or a runtime failure).
+Exit codes: 0 success, 2 configuration error or an ``--out`` location that
+cannot be written, 3 a verify-bounds check that failed (a bound violation,
+no trial, or a runtime failure).
 """
 
 from __future__ import annotations
@@ -151,6 +152,11 @@ def main(argv=None) -> int:
                     return 3
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the runs read no file: a path that cannot be written
+        if exc.filename is None:
+            raise
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     return 0
 

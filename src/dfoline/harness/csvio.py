@@ -48,19 +48,14 @@ def record_seed(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "big")
 
 
-#: Iterates of a trace, or k of an envelope, made into rows at once.
-ROW_BLOCK = 256
-
-
 @contextlib.contextmanager
 def csv_file(path, columns: list[str], cfg_hash: str):
-    """Yield ``write(rows, nan_free=False, fmt=None)``, which writes rows
-    (sequences of cells in ``columns`` order) as they are iterated, under a
-    config-hash comment line.  The file is ``path`` + ".tmp" until the block
-    ends, then renamed to ``path``; if the block raises, it is removed and
-    ``path`` is left as it was.  The csv module writes a float by repr and
-    None as empty; each NaN cell is written as None, by a pass over every
-    cell unless the caller says the rows hold no NaN.  Given ``fmt``, a
+    """Yield ``write(rows, fmt=None)``, which writes rows (sequences of
+    cells in ``columns`` order) as they are iterated, under a config-hash
+    comment line.  The file is ``path`` + ".tmp" until the block ends, then
+    renamed to ``path``; if the block or the rename raises, it is removed
+    and ``path`` is left as it was.  The csv module writes a float by repr
+    and None as empty; each NaN cell is written as None.  Given ``fmt``, a
     %-format of one whole line, each row is written as ``fmt % row``
     instead: the caller vouches that the csv module would write the same."""
     tmp = f"{path}.tmp"
@@ -71,18 +66,17 @@ def csv_file(path, columns: list[str], cfg_hash: str):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
 
-            def write(rows, nan_free=False, fmt=None):
+            def write(rows, fmt=None):
                 if fmt is not None:
                     fh.writelines(map(fmt.__mod__, rows))  # one line alive at a time
                 else:
-                    writer.writerows(rows if nan_free else
-                                     ([v if v == v else None for v in row] for row in rows))
+                    writer.writerows([v if v == v else None for v in row] for row in rows)
 
             yield write
+        os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
-    os.replace(tmp, path)
 
 
 def write_csv(path, columns: list[str], rows, cfg_hash: str) -> None:
@@ -92,32 +86,31 @@ def write_csv(path, columns: list[str], rows, cfg_hash: str) -> None:
 
 
 def _cells(column: np.ndarray) -> list:
-    """A column's values as Python numbers, None where NaN: a column with
-    no NaN, as most are, needs no pass over its cells."""
+    """A column's values as Python numbers, "" where NaN: a column with no
+    NaN, as most are, needs no pass over its cells."""
     cells = column.tolist()
-    return [None if v != v else v for v in cells] if np.isnan(column).any() else cells
+    return ["" if v != v else v for v in cells] if np.isnan(column).any() else cells
 
 
-#: One trace row with no NaN cell, as the csv module writes it: the ints
-#: k and evals by str, the floats by repr, and the status word unquoted.
-_TRACE_ROW = "%d,%d,%r,%r,%r,%r,%r,%r,%s\n"
+#: One trace row as the csv module writes it: the ints k and evals by %d,
+#: each float by %s, which is its repr (a NaN is _cells' "", an empty
+#: cell), and the status word unquoted.
+_TRACE_ROW = "%d,%d,%s,%s,%s,%s,%s,%s,%s\n"
 
 
-def write_trace(path, trace, cfg_hash: str) -> None:
-    """Write an optimization trace, held as one array per column, ROW_BLOCK
-    iterates at a time: k, the trace's column of each name in TRACE_COLUMNS
-    as Python numbers, and the status, "ok" but on the last iterate, which
-    holds ``trace.status``.  A block with no NaN cell is formatted by
-    _TRACE_ROW, one line at a time; one with a NaN goes through the csv
-    writer."""
-    size = len(trace.evals)
+def write_trace(path, blocks, cfg_hash: str):
+    """Write an optimization trace from its blocks, each an
+    :class:`~dfoline.optimizer.OptimizationTrace` of the iterates after the
+    block before it, one line at a time by _TRACE_ROW, and return the last
+    block.  A row holds k, the block's column of each name in TRACE_COLUMNS
+    as a Python number, and the status: "ok" but on a block's last iterate,
+    which holds the block's status, so a whole trace is one block."""
+    lo = 0
     with csv_file(path, TRACE_COLUMNS, cfg_hash) as write:
-        for lo in range(0, size, ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, size)
-            status = ["ok"] * (hi - lo - 1) + [trace.status if hi == size else "ok"]
-            columns = [getattr(trace, name)[lo:hi] for name in TRACE_COLUMNS[1:-1]]
-            if any(np.isnan(column).any() for column in columns):
-                write(zip(range(lo, hi), *map(_cells, columns), status), nan_free=True)
-            else:
-                write(zip(range(lo, hi), *(column.tolist() for column in columns), status),
-                      fmt=_TRACE_ROW)
+        for block in blocks:
+            hi = lo + len(block.evals)
+            status = ["ok"] * (hi - lo - 1) + [block.status]
+            columns = [_cells(getattr(block, name)) for name in TRACE_COLUMNS[1:-1]]
+            write(zip(range(lo, hi), *columns, status), fmt=_TRACE_ROW)
+            lo = hi
+    return block

@@ -36,13 +36,13 @@ from ..bounds import (
 )
 from ..core import DFOError, NoiseModel, RngStream, generators
 from ..estimators import ESTIMATORS, UndefinedMetricError, estimate_on, relative_error
-from ..optimizer import STEPPERS, EstimatorConfig, backtracking_step, minimize
+from ..optimizer import (INSTRUMENT_BLOCK, STEPPERS, EstimatorConfig, backtracking_step,
+                         run_blocks)
 from ..testfns import get_function
 from .config import ConfigError, config_hash, with_defaults
 from .csvio import (
     ACCURACY_COLUMNS,
     AGGREGATE_COLUMNS,
-    ROW_BLOCK,
     SUMMARY_COLUMNS,
     csv_file,
     record_seed,
@@ -83,7 +83,7 @@ def _records(fn, noise: NoiseModel, seeds, kind=None, N=0):
     ``RngStream(seed, 0)``, the point generator from stream 2, and from
     stream 1 the record's set of N directions of ``ESTIMATORS[kind]``,
     drawn from that stream's own generator, or, with no kind, the stream
-    itself (``minimize`` draws every set of its run from one generator of
+    itself (``run_blocks`` draws every set of its run from one generator of
     it, in order).
     ``seeds`` is read as the records are, a block ahead at most."""
     seeds, for_dirs, for_noise, for_points = itertools.tee(seeds, 4)
@@ -169,12 +169,8 @@ def run_gradient_accuracy(cfg: dict, out_dir: str) -> dict:
                                median_log10_theta=float(med), q3_log10_theta=float(q3))
             summaries.append(summary)
     write_csv(summary_path, SUMMARY_COLUMNS, summaries, cfg_hash)
-    return {
-        "records": records_path,
-        "summary": summary_path,
-        "n_records": len(combos) * cfg["trials"],
-        "n_summaries": len(summaries),
-    }
+    return {"records": records_path, "summary": summary_path,
+            "n_records": len(combos) * cfg["trials"], "n_summaries": len(summaries)}
 
 
 def _resolve_x0(choice, n: int, point: np.random.Generator) -> np.ndarray:
@@ -218,8 +214,16 @@ MAX_BUDGET = 1_000_000
 _SPILLED = 3 * 8
 
 
+def _spilled(blocks, spill):
+    """Each of ``blocks``, once its phi, grad_norm_true and evals are
+    written to ``spill``, float64 by k."""
+    for block in blocks:
+        spill.write(np.column_stack((block.phi, block.grad_norm_true, block.evals)).tobytes())
+        yield block
+
+
 def _envelope(fname: str, mname: str, spill, lengths: list):
-    """The aggregate rows of one (function, method), ROW_BLOCK k at a time,
+    """The aggregate rows of one (function, method), INSTRUMENT_BLOCK k at a time,
     from its seeds' triples in ``spill``, seed after seed, ``lengths`` k
     each.  Per k, the seeds reaching it, in order, are a contiguous row to
     reduce, so the rows have np.mean's, np.min's and np.max's bits."""
@@ -233,8 +237,8 @@ def _envelope(fname: str, mname: str, spill, lengths: list):
     for hi in sorted(set(lengths)):
         reaching = [first for first, size in zip(firsts, lengths) if size >= hi]
         seeds = len(reaching)
-        for start in range(lo, hi, ROW_BLOCK):
-            ks = range(start, min(start + ROW_BLOCK, hi))
+        for start in range(lo, hi, INSTRUMENT_BLOCK):
+            ks = range(start, min(start + INSTRUMENT_BLOCK, hi))
             block = np.stack([read(first + start, len(ks)) for first in reaching], axis=-1)
             phi, grad, evals = (np.add.reduce(block, axis=-1) / seeds).T.tolist()
             low, high = (u.reduce(block[:, 0], axis=-1).tolist() for u in (np.minimum, np.maximum))
@@ -244,14 +248,15 @@ def _envelope(fname: str, mname: str, spill, lengths: list):
 
 
 def run_optimization(cfg: dict, out_dir: str) -> dict:
-    """One trace file per (function, method, seed), written as its run ends,
-    plus a mean/min/max envelope per (function, method) aggregated across
-    seeds by iteration, written to aggregate.csv once the group's last run
-    ends.  Until then each run's phi, grad_norm_true and evals columns wait
-    in a temporary file, so the seeds cost disk, not memory.
+    """One trace file per (function, method, seed), written block by block
+    as its run makes them, plus a mean/min/max envelope per (function,
+    method) aggregated across seeds by iteration, written to aggregate.csv
+    once the group's last run ends.  Until then each run's phi,
+    grad_norm_true and evals columns wait in a temporary file, so the runs
+    cost disk, not memory.
 
     Returns the paths written and, keyed by "function/method/s<seed>", each
-    trace's status and its stop reason (``trace.detail``, empty when none).
+    trace's status and its stop reason (``detail``, empty when none).
     """
     cfg_hash = config_hash(cfg)
     exp_id = cfg.get("experiment_id", cfg_hash[:12])
@@ -288,18 +293,14 @@ def run_optimization(cfg: dict, out_dir: str) -> dict:
                 for seed, (_, oracle, point, stream) in zip(cfg["seeds"],
                                                             _records(fn, noise, run_seeds)):
                     x0 = _resolve_x0(x0_spec, fn.n, point)
-                    trace = minimize(oracle, x0, est_cfg, stepper, budget, stream)
                     path = os.path.join(out_dir, f"trace_{fname}__{mname}__s{seed}.csv")
-                    write_trace(path, trace, cfg_hash)
+                    start = spill.tell()
+                    blocks = run_blocks(oracle, x0, est_cfg, stepper, budget, stream)
+                    last = write_trace(path, _spilled(blocks, spill), cfg_hash)
+                    lengths.append((spill.tell() - start) // _SPILLED)
                     trace_paths.append(path)
                     run = f"{fname}/{mname}/s{seed}"
-                    statuses[run], details[run] = trace.status, trace.detail
-                    columns = trace.phi, trace.grad_norm_true, trace.evals
-                    for lo in range(0, len(trace.evals), ROW_BLOCK):
-                        block = np.column_stack([c[lo:lo + ROW_BLOCK] for c in columns])
-                        spill.write(block.tobytes())  # float64 (phi, grad, evals) by k
-                    lengths.append(len(trace.evals))
-                    del trace, columns  # before the next run starts
+                    statuses[run], details[run] = last.status, last.detail
                 for rows in _envelope(fname, mname, spill, lengths):
                     write(rows)
     return {"traces": trace_paths, "aggregate": agg_path,
@@ -377,13 +378,11 @@ def _check_variance_domination(cfg, root, noise) -> dict:
 MAX_SAMPLE_SIZE = 1_000_000
 
 
-def _check_sample_size(cfg, root, noise) -> dict:
-    delta = cfg["delta"]
-    r = cfg["theta"]  # theta ||grad phi||, as ||a|| = 1
-    trials = cfg["trials"]
-    n = min(cfg["dimensions"])
-    a = RngStream(record_seed(root, "size", n), 3).generator().standard_normal(n)
-    a /= np.linalg.norm(a)
+def _sample_size(cfg) -> tuple:
+    """(n, delta, r, N) of the gsg_sample_size check: N directions a trial
+    at the least dimension n; an N that overflows or is above
+    MAX_SAMPLE_SIZE is a ConfigError."""
+    n, delta, r = min(cfg["dimensions"]), cfg["delta"], cfg["theta"]  # r: theta ||a||, ||a|| = 1
     try:
         N = gsg_sample_size(1.0, 1.0, n, delta, r)
         if N > MAX_SAMPLE_SIZE:
@@ -392,6 +391,14 @@ def _check_sample_size(cfg, root, noise) -> dict:
         raise ConfigError(
             f"gsg_sample_size at n={n}, delta {delta}, theta {r}: {exc}; "
             f"the check draws at most MAX_SAMPLE_SIZE = {MAX_SAMPLE_SIZE:,}") from exc
+    return n, delta, r, N
+
+
+def _check_sample_size(cfg, root, noise) -> dict:
+    n, delta, r, N = _sample_size(cfg)
+    trials = cfg["trials"]
+    a = RngStream(record_seed(root, "size", n), 3).generator().standard_normal(n)
+    a /= np.linalg.norm(a)
     violations = gsg_misses(a, N, r, RngStream(record_seed(root, "size", n, N), 1), trials)
     freq = violations / trials
     witness = None if freq <= delta else {"n": n, "N": N, "frequency": freq}
@@ -531,6 +538,9 @@ def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
                               f"above MAX_SET_FLOATS = {MAX_SET_FLOATS:,}")
     if "armijo_decrease_guarantee" in cfg["checks"]:
         _armijo_constants(cfg["theta"])
+    if "gsg_sample_size" in cfg["checks"]:
+        _sample_size(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     results = []
     for name in cfg["checks"]:
         try:
@@ -538,13 +548,8 @@ def run_verify_bounds(cfg: dict, out_dir: str) -> dict:
         except DFOError as exc:
             results.append({"check": name, "passed": False, "margin": None,
                             "details": f"runtime failure: {exc}", "witness": None})
-    report = {
-        "experiment_id": exp_id,
-        "config_sha256": cfg_hash,
-        "all_pass": all(r["passed"] for r in results),
-        "checks": results,
-    }
-    os.makedirs(out_dir, exist_ok=True)
+    report = {"experiment_id": exp_id, "config_sha256": cfg_hash,
+              "all_pass": all(r["passed"] for r in results), "checks": results}
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)

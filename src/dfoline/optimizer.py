@@ -7,10 +7,11 @@ condition
 
 which tolerates bounded noise by construction.  Fixed-step and Adam steppers
 are provided for comparison runs.  Each stepper config's ``start(n)`` returns
-the step function of one run, which holds that rule's state.  Every run
-produces a full :class:`OptimizationTrace`, one array per column, whose
-instrumented columns (phi, true gradient norm, per-iteration estimate
-error) are measured when the oracle exposes them.
+the step function of one run, which holds that rule's state.  A run yields
+its iterates in blocks (:func:`run_blocks`), which :func:`minimize` joins
+into one :class:`OptimizationTrace`, one array per column; the instrumented
+columns (phi, true gradient norm, per-iteration estimate error) are measured
+when the oracle exposes them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import DFOError, Oracle, RngStream, as_point
 from .estimators import ESTIMATORS, _norm, estimate_on
 
 GRAD_NORM_TOL = 1.0e-12
-#: Iterates that minimize instruments at once; their estimates are freed then.
+#: Iterates of one block of run_blocks, instrumented at once; their estimates are freed then.
 INSTRUMENT_BLOCK = 256
 
 
@@ -54,19 +55,9 @@ def armijo_holds(f_curr: float, f_trial: float, alpha: float, g_norm_sq: float,
     return f_trial <= f_curr - c1 * alpha * g_norm_sq + 2.0 * eps_f
 
 
-def backtracking_step(
-    oracle: Oracle,
-    x,
-    g,
-    alpha: float,
-    c1: float,
-    tau: float,
-    eps_f: float,
-    *,
-    alpha_min: float = 1.0e-12,
-    f_curr: float | None = None,
-    max_trials: int | None = None,
-) -> tuple[np.ndarray, float]:
+def backtracking_step(oracle: Oracle, x, g, alpha: float, c1: float, tau: float, eps_f: float,
+                      *, alpha_min: float = 1.0e-12, f_curr: float | None = None,
+                      max_trials: int | None = None) -> tuple[np.ndarray, float]:
     """Shrink alpha by tau until the relaxed Armijo test passes.
 
     Tries alpha, tau * alpha, ... and returns (x - alpha g, alpha) for the
@@ -97,11 +88,9 @@ def backtracking_step(
         if armijo_holds(f_curr, f_trial, alpha, g_norm_sq, c1, eps_f):
             return x_trial, alpha
         alpha *= tau
-    raise StallError(
-        f"no step above alpha_min={alpha_min:.1e} passed the Armijo test "
-        f"after {trials} trials; iterate is at the attainable noise floor",
-        reason="alpha_min", trials=trials,
-    )
+    raise StallError(f"no step above alpha_min={alpha_min:.1e} passed the Armijo test after "
+                     f"{trials} trials; iterate is at the attainable noise floor",
+                     reason="alpha_min", trials=trials)
 
 
 @dataclass(frozen=True)
@@ -156,10 +145,8 @@ class EstimatorConfig:
         """Raise ValueError unless ``budget`` covers one estimate plus a step."""
         need = self.evals_per_call(n) + 1
         if budget < need:
-            raise ValueError(
-                f"budget {budget} cannot cover one estimator call plus a step "
-                f"({need} evaluations)"
-            )
+            raise ValueError(f"budget {budget} cannot cover one estimator call plus a step "
+                             f"({need} evaluations)")
 
 
 @dataclass(frozen=True)
@@ -178,10 +165,8 @@ class LineSearchConfig:
         if not self.eps_f >= 0:
             raise ValueError(f"eps_f must be >= 0, got {self.eps_f}")
         if not 0 < self.alpha_min <= self.alpha0 <= self.alpha_max:
-            raise ValueError(
-                f"need 0 < alpha_min <= alpha0 <= alpha_max, got alpha_min="
-                f"{self.alpha_min}, alpha0={self.alpha0}, alpha_max={self.alpha_max}"
-            )
+            raise ValueError(f"need 0 < alpha_min <= alpha0 <= alpha_max, got alpha_min="
+                             f"{self.alpha_min}, alpha0={self.alpha0}, alpha_max={self.alpha_max}")
 
     def start(self, n: int):
         """A run's step function: backtracking from alpha0, then from
@@ -190,10 +175,9 @@ class LineSearchConfig:
 
         def step(oracle, x, g, f_x, allowance):
             nonlocal alpha0
-            x_next, alpha = backtracking_step(
-                oracle, x, g, alpha0, self.c1, self.tau, self.eps_f,
-                alpha_min=self.alpha_min, f_curr=f_x, max_trials=allowance,
-            )
+            x_next, alpha = backtracking_step(oracle, x, g, alpha0, self.c1, self.tau, self.eps_f,
+                                              alpha_min=self.alpha_min, f_curr=f_x,
+                                              max_trials=allowance)
             alpha0 = min(self.alpha_max, alpha / self.tau)
             return x_next, alpha
 
@@ -251,12 +235,12 @@ STEPPERS = {"line_search": LineSearchConfig, "fixed": FixedStepConfig, "adam": A
 
 @dataclass
 class OptimizationTrace:
-    """A run's iterates k = 0..K, held as one array per column: ``x``
-    (K + 1, n), ``evals`` (int, the cumulative oracle count after iterate
-    k's work) and f, phi, grad_norm_true, g_norm, alpha and theta_k (float,
-    NaN where not measured: no instrumentation, or no estimate or step at
-    the last iterate).  Every iterate but the last is an "ok" step; the
-    run's ``status`` and stop reason ``detail`` are the last one's.
+    """A run's iterates k = 0..K, or a block of them, held as one array per
+    column: ``x`` (K + 1, n), ``evals`` (int, the cumulative oracle count
+    after iterate k's work) and f, phi, grad_norm_true, g_norm, alpha and
+    theta_k (float, NaN where not measured: no instrumentation, or no
+    estimate or step at the last iterate).  Every iterate but the last is an
+    "ok" step; ``status`` and stop reason ``detail`` are the last one's.
     """
 
     x: np.ndarray
@@ -285,12 +269,13 @@ def _sq_norms(A: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ A[:, :, None])[:, 0, 0]
 
 
-def _instrument(oracle: Oracle, rows: list, columns: list) -> None:
-    """Move ``rows``, each (x, evals, f, g or None, ||g||, alpha), to
-    ``columns`` as one block per array field of :class:`OptimizationTrace`,
-    in order, with phi, ||grad phi|| and theta_k measured uncounted.  A vectorized phi gets one
+def _instrument(oracle: Oracle, rows: list) -> list:
+    """The array fields of :class:`OptimizationTrace`, in order, of ``rows``,
+    each (x, evals, f, g or None, ||g||, alpha), which it empties, with phi,
+    ||grad phi|| and theta_k measured uncounted.  A vectorized phi gets one
     C-ordered stack and must treat each row alone."""
     xs, evals, fs, gs, g_norms, alphas = zip(*rows)
+    rows.clear()
     X = np.array(xs)
     if oracle.vectorized:
         phis = np.asarray(oracle.phi(X), dtype=float)
@@ -303,42 +288,36 @@ def _instrument(oracle: Oracle, rows: list, columns: list) -> None:
         G = np.array([np.full(oracle.dimension, math.nan) if g is None else g for g in gs])
         thetas = np.divide(np.sqrt(_sq_norms(G - grads)), grad_norms,
                            out=np.full(len(xs), math.nan), where=grad_norms > 0)
-    blocks = (X, np.array(evals), np.array(fs, dtype=float), phis, grad_norms,
-              np.array(g_norms, dtype=float), np.array(alphas, dtype=float), thetas)
-    for column, block in zip(columns, blocks):
-        column.append(block)
-    rows.clear()
+    return [X, np.array(evals), np.array(fs, dtype=float), phis, grad_norms,
+            np.array(g_norms, dtype=float), np.array(alphas, dtype=float), thetas]
 
 
-def minimize(
-    oracle: Oracle,
-    x0,
-    estimator: EstimatorConfig,
-    stepper: LineSearchConfig | FixedStepConfig | AdamConfig,
-    budget: int,
-    rng: RngStream | int = 0,
-) -> OptimizationTrace:
-    """Run the estimate-then-step loop until the budget, a stall, or ||g|| ~ 0.
+def run_blocks(oracle: Oracle, x0, estimator: EstimatorConfig,
+               stepper: LineSearchConfig | FixedStepConfig | AdamConfig, budget: int,
+               rng: RngStream | int = 0):
+    """Run the estimate-then-step loop until the budget, a stall, or ||g|| ~ 0,
+    and yield its iterates INSTRUMENT_BLOCK at a time as they are
+    instrumented, each block an :class:`OptimizationTrace` of the next
+    iterates.  Every block but the last is "ok", with no detail; the last
+    holds the final iterate, the run's status ("converged",
+    "budget_exhausted", "noise_floor", or "failed") and its stop reason.
 
     Every direction set of the run is drawn in order from one generator of
     ``rng``, so runs are bit-reproducible given (seed, config).  The sets
     depend on nothing else, so they are drawn in blocks (the kind's
-    ``ESTIMATORS[kind].sets``), with the bits of one draw per iteration:
-    Gaussian sets as many at once as fit in ``directions._BLOCK_FLOATS``
-    floats, orthonormal ones with one QR call per block.  Iteration k's set
-    is named ``rng.child(k)``, and ligd's one redraw of it comes from
-    ``rng.child(k).child(1)``, which shifts no later draw.
-    The trace holds every iterate including the final one, and ends
-    "converged", "budget_exhausted", "noise_floor", or "failed" (see
-    ``trace.detail``).  A :class:`DFOError` raised inside the loop ends the
-    run "failed" with the exception text; it is never lost.  Each
-    INSTRUMENT_BLOCK iterates are instrumented as the loop reaches them, and
-    an error there propagates.  The run, instrumentation included, ignores
-    floating-point overflow and invalid operations: their inf and NaN end it
-    "failed", and numpy warns of nothing.  A vanishing estimate counts as
-    convergence only when sigma can resolve a gradient of that size, that is when
-    spacing(|f(x)|) / sigma <= GRAD_NORM_TOL; otherwise the differences were
-    lost to rounding and the run has failed.
+    ``ESTIMATORS[kind].sets``), with the bits of one draw per iteration.
+    Iteration k's set is named ``rng.child(k)``, and ligd's one redraw of it
+    comes from ``rng.child(k).child(1)``, which shifts no later draw.
+    A :class:`DFOError` raised inside the loop ends the run "failed" with
+    the exception text; an error raised by instrumentation propagates.
+    Each block's work ignores floating-point overflow and invalid
+    operations: their inf and NaN end the run "failed", and numpy warns of
+    nothing.  numpy's error state is a context variable, which a generator
+    shares with its caller, so the caller's own holds at each yield.  A
+    vanishing estimate counts as convergence only when sigma can resolve a
+    gradient of that size, that is when spacing(|f(x)|) / sigma <=
+    GRAD_NORM_TOL; otherwise the differences were lost to rounding and the
+    run has failed.
     """
     x = as_point(x0, oracle.dimension).copy()
     n = oracle.dimension
@@ -359,12 +338,11 @@ def minimize(
     extra = 1 if isinstance(stepper, LineSearchConfig) else 0
     extra += 0 if ESTIMATORS[estimator.kind].measures_center else 1  # f(x) measured apart
     rows = []  # (x, evals, f, g, ||g||, alpha) of the iterates to instrument
-    columns = [[] for _ in range(8)]  # their blocks, instrumented, per array field
 
     def iterate():
         """Run the loop until INSTRUMENT_BLOCK iterates wait in ``rows``
-        (None) or the run ends: its status, detail and the last iterate's
-        (f, g, ||g||) when they were measured."""
+        (status "ok") or the run ends: its status, detail and the last
+        iterate's (f, g, ||g||) when they were measured."""
         nonlocal x
         try:
             while len(rows) < INSTRUMENT_BLOCK:
@@ -406,16 +384,31 @@ def minimize(
 
                 rows.append((x, oracle.eval_count, f_k, g, g_norm, alpha))
                 x = x_next
+            return "ok", "", None
         except DFOError as exc:
             return "failed", str(exc), None
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        while (end := iterate()) is None:
-            _instrument(oracle, rows, columns)  # outside the loop's try: its errors propagate
-        status, detail, measured = end
-        f, g, g_norm = measured or (math.nan, None, math.nan)
-        rows.append((x, oracle.eval_count, f, g, g_norm, math.nan))
-        _instrument(oracle, rows, columns)
+    status = "ok"
+    while status == "ok":
+        with np.errstate(over="ignore", invalid="ignore"):
+            status, detail, measured = iterate()
+            if status != "ok":
+                f, g, g_norm = measured or (math.nan, None, math.nan)
+                rows.append((x, oracle.eval_count, f, g, g_norm, math.nan))
+            # outside the loop's try: its errors propagate
+            block = OptimizationTrace(*_instrument(oracle, rows), status, detail)
+        yield block
+
+
+def minimize(oracle: Oracle, x0, estimator: EstimatorConfig,
+             stepper: LineSearchConfig | FixedStepConfig | AdamConfig, budget: int,
+             rng: RngStream | int = 0) -> OptimizationTrace:
+    """The blocks of :func:`run_blocks` joined into one trace, which holds
+    every iterate including the final one, and the run's status and detail."""
+    columns = [[] for _ in range(8)]
+    for block in run_blocks(oracle, x0, estimator, stepper, budget, rng):
+        for column, values in zip(columns, vars(block).values()):
+            column.append(values)
     # one column at a time, so only that column's blocks are held twice
     return OptimizationTrace(*[np.concatenate(columns.pop(0)) for _ in range(len(columns))],
-                             status, detail)
+                             block.status, block.detail)

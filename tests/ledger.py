@@ -77,7 +77,7 @@ CASES = {
         "experiment": "optimize", "functions": ["sin_n10"], "budget": 200, "seeds": [3],
         "noise": {"kind": "sinusoidal", "bound": 1.0e-5}, "methods": [
             _method(f"{kind}_ls", kind, 1.0e-3, _LS) for kind in KINDS]}, ["--seed", "11"]),
-    # traces of ragged lengths, some across INSTRUMENT_BLOCK and ROW_BLOCK (256)
+    # traces of ragged lengths, some across blocks of INSTRUMENT_BLOCK (256) iterates
     "optimize_ragged": ("optimize", {
         "experiment": "optimize", "functions": ["rosenbrock_n4", "quad_n20"], "budget": 6000,
         "seeds": [0, 1, 2, 3], "noise": {"kind": "uniform", "bound": 1.0e-9},

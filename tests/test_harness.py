@@ -11,7 +11,6 @@ import random
 import re
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -166,7 +165,7 @@ class TestCsvRoundTrip:
             phi=np.array([0.5, 0.1 + 0.2, np.inf]), grad_norm_true=np.full(3, nan),
             g_norm=np.array([1.0e-300, 2.0, nan]), alpha=np.array([1.0, 0.5, nan]),
             theta_k=np.array([nan, 0.25, nan]), status="failed", detail="")
-        write_trace(tmp_path / "t.csv", trace, "h")
+        write_trace(tmp_path / "t.csv", [trace], "h")
         rows = [dict(zip(TRACE_COLUMNS, (k, *(getattr(trace, c)[k].item()
                                               for c in TRACE_COLUMNS[1:-1]),
                                          "failed" if k == 2 else "ok"))) for k in range(3)]
@@ -462,14 +461,21 @@ class TestGradAccuracyRunner:
         ("none", "origin"), ("uniform", "random"), ("sinusoidal", "random"),
         ("adversarial_sign", "origin"),
     ])
-    def test_block_seeded_streams_give_each_records_own_draws(self, tmp_path, kind, eval_point):
+    def test_block_seeded_streams_give_each_records_own_draws(self, tmp_path, monkeypatch,
+                                                              kind, eval_point):
         """The sweep seeds its record streams in blocks, and orthonormal sets
         share a QR per block; each row must be the one that the per-record
-        loop below gets from the record's own streams."""
+        loop below gets from the record's own streams.  Blocks of 8 seeds and
+        of 3 sets keep it short: each group's 20 trials cross two seed blocks
+        and six QR blocks, and end in a ragged one of each.  The blocks of
+        256 seeds and 16 sets are test_blocks_of_one_write_the_same_bytes'."""
+        monkeypatch.setattr(core, "SEED_BLOCK", 8)
+        monkeypatch.setattr(directions, "ORTHONORMAL_BLOCK", 3)
         with np.errstate(over="ignore", invalid="ignore"):
-            res = run_gradient_accuracy(self.blocks_cfg(kind, eval_point), str(tmp_path))
+            res = run_gradient_accuracy({**self.blocks_cfg(kind, eval_point), "trials": 20},
+                                        str(tmp_path))
             _, rows = read_csv(res["records"])
-            assert len(rows) == 2 * 2 * 7 * 300
+            assert len(rows) == 2 * 2 * 7 * 20
             assert {r["status"] for r in rows} >= {"ok", "failed"}
             for row in rows:
                 assert (row["theta"], row["status"], row["evals"]) == own_record(row, kind, eval_point)
@@ -544,22 +550,6 @@ class TestOptimizationRunner:
                        ("phi_mean", "phi_min", "phi_max", "grad_norm_true_mean", "evals_mean")]
                 assert int(row["n_seeds"]) == len(recs)
                 assert np.array_equal(got, expected, equal_nan=True), row
-
-    def test_one_trace_alive_at_a_time(self, tmp_path, monkeypatch):
-        """Each run's trace is freed once it is written and its envelope
-        columns are kept, before the next run starts."""
-        refs = []
-
-        def tracked(*args):
-            assert [ref() for ref in refs] == [None] * len(refs)
-            trace = real(*args)
-            refs.append(weakref.ref(trace))
-            return trace
-
-        real = runners.minimize
-        monkeypatch.setattr(runners, "minimize", tracked)
-        run_optimization(opt_cfg(), str(tmp_path))
-        assert len(refs) == 6 and refs[-1]() is None
 
     def test_exact_search_beats_noisy_fixed_step(self, tmp_path):
         res = run_optimization(opt_cfg(), str(tmp_path))
@@ -637,21 +627,36 @@ class TestBoundedMemory:
         ten = self.traced_peak(run_gradient_accuracy, dict(cfg, trials=400), tmp_path / "10")
         assert ten < 1.1 * one, (one, ten)
 
-    def test_optimization_peak_per_iterate(self, tmp_path):
-        """From a 960 to a 9,600 evaluation budget the peak grows by under
-        200 bytes per added iterate: the trace's columns, x and eight numbers
-        at n = 5, are 96.  It grew by about 610 when each iterate was a record."""
+    def optimization_growth(self, tmp_path, budgets, iterates) -> float:
+        """Bytes by which the peak grows per added iterate of one gsg
+        fixed-step run on quad_n5 from the first of ``budgets`` to the
+        second, whose traces hold ``iterates`` rows."""
         method = {"name": "gsg_fixed", "estimator": {"kind": "gsg", "sigma": 1.0e-2},
                   "stepper": {"type": "fixed", "alpha": 0.02}}
         cfg = opt_cfg(functions=["quad_n5"], methods=[method], seeds=[0])
         run_optimization(dict(cfg, budget=120), str(tmp_path / "warm"))
-        peaks, iterates = [], []
-        for budget in (960, 9600):
+        peaks, rows = [], []
+        for budget in budgets:
             out = tmp_path / str(budget)
             peaks.append(self.traced_peak(run_optimization, dict(cfg, budget=budget), out))
-            iterates.append(len(read_csv(out / "trace_quad_n5__gsg_fixed__s0.csv")[1]))
-        assert iterates == [161, 1601]
-        assert (peaks[1] - peaks[0]) / (iterates[1] - iterates[0]) < 200, peaks
+            rows.append(len(read_csv(out / "trace_quad_n5__gsg_fixed__s0.csv")[1]))
+        assert rows == iterates
+        return (peaks[1] - peaks[0]) / (rows[1] - rows[0])
+
+    def test_optimization_peak_per_iterate(self, tmp_path):
+        """From a 960 to a 9,600 evaluation budget the peak grows by under
+        200 bytes per added iterate: a whole trace's columns, x and eight
+        numbers at n = 5, would be 96.  It grew by about 610 when each
+        iterate was a record."""
+        assert self.optimization_growth(tmp_path, (960, 9600), [161, 1601]) < 200
+
+    def test_optimization_peak_does_not_grow_with_the_run(self, tmp_path):
+        """From a 9,600 to a 48,000 evaluation budget, 7 and 32 blocks of
+        INSTRUMENT_BLOCK iterates, the peak grows by under 10 bytes per added
+        iterate: each block is written and spilled as the run makes it, and
+        no trace is joined.  It grew by about 130 when the runner wrote each
+        run from its whole trace."""
+        assert self.optimization_growth(tmp_path, (9600, 48000), [1601, 8001]) < 10
 
     def test_a_run_that_raises_leaves_no_partial_file(self, tmp_path, monkeypatch):
         """A file is written under a temporary name and renamed once complete:
@@ -677,17 +682,33 @@ class TestBoundedMemory:
         out = tmp_path / "opt"
         runs = []
 
-        def minimize(*args):
+        def run_blocks(*args):
             runs.append(args)
+            blocks = real_run_blocks(*args)
+            yield next(blocks)
             if len(runs) == 2:
+                assert (out / "trace_quad_n10__liod_ls__s1.csv.tmp").exists()
                 raise RuntimeError("optimizer broke")
-            return real_minimize(*args)
+            yield from blocks
 
-        real_minimize = runners.minimize
-        monkeypatch.setattr(runners, "minimize", minimize)
+        real_run_blocks = runners.run_blocks
+        monkeypatch.setattr(runners, "run_blocks", run_blocks)
         with pytest.raises(RuntimeError, match="optimizer broke"):
             run_optimization(opt_cfg(), str(out))
         assert os.listdir(out) == ["trace_quad_n10__liod_ls__s0.csv"]
+
+    def test_a_failed_rename_leaves_no_partial_file(self, tmp_path, capsys):
+        """A complete records.csv that cannot take its name, since a directory
+        holds it, is removed too: the CLI exits 2 naming the path, and no
+        file is left."""
+        out = tmp_path / "o"
+        (out / "records.csv").mkdir(parents=True)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(grad_cfg(trials=2)))
+        assert main(["grad-accuracy", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"output error: [Errno 21] Is a directory: '{out / 'records.csv.tmp'}'" in err
+        assert os.listdir(out) == ["records.csv"] and os.listdir(out / "records.csv") == []
 
 
 class TestVerifyRunner:
@@ -924,6 +945,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "is not finite" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("grad-accuracy", grad_cfg(trials=2)),
+        ("optimize", opt_cfg(seeds=[0], budget=100)),
+        ("verify-bounds", {"experiment": "verify_bounds", "checks": ["noise_bound"]}),
+    ], ids=["grad_accuracy", "optimize", "verify_bounds"])
+    def test_out_at_a_file_exit_two(self, tmp_path, capsys, command, cfg):
+        """--out naming a file, or a path under one, exits 2 naming the path,
+        before the first task: no check runs, and nothing is written."""
+        path = self.write_cfg(tmp_path, cfg)
+        (tmp_path / "f").write_text("kept")
+        for out, error in [("f", "[Errno 17] File exists"), ("f/o", "[Errno 20] Not a directory"),
+                           ("f/o/p", "[Errno 20] Not a directory")]:
+            where = str(tmp_path / out)
+            assert main([command, "--config", path, "--out", where]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert f"output error: {error}: '{where.removesuffix('/p')}'" in captured.err
+        assert (tmp_path / "f").read_text() == "kept"
 
     @pytest.mark.parametrize("command, cfg, field", [
         ("grad-accuracy", grad_cfg(noise={"kind": "uniform", "bound": -1}), "bound"),

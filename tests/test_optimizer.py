@@ -395,7 +395,7 @@ class TestDirectionBlocks:
                          EstimatorConfig(kind=kind, sigma=1.0e-4), stepper, budget,
                          RngStream(8, 1))
         path = tmp_path / "trace.csv"
-        write_trace(path, trace, "")
+        write_trace(path, [trace], "")
         return trace, path.read_bytes() + trace.x.tobytes()
 
     def test_blocks_give_the_trace_of_one_set_per_draw(self, tmp_path, monkeypatch):
@@ -528,7 +528,7 @@ class TestInstrumentation:
     @staticmethod
     def csv_bytes(tmp_path, trace):
         path = tmp_path / "trace.csv"
-        write_trace(path, trace, "")
+        write_trace(path, [trace], "")
         return path.read_bytes() + trace.x.tobytes()
 
     # case: (oracle factory, estimator, stepper, budget, status or None for any);
@@ -586,8 +586,7 @@ class TestInstrumentation:
         calls = []
         real = optimizer._instrument
         monkeypatch.setattr(optimizer, "_instrument",
-                            lambda oracle, rows, columns: calls.append(len(rows)) or
-                            real(oracle, rows, columns))
+                            lambda oracle, rows: calls.append(len(rows)) or real(oracle, rows))
 
         def trace_bytes():
             oracle = make_oracle()
@@ -622,3 +621,19 @@ class TestInstrumentation:
             minimize(oracle, np.ones(2), EstimatorConfig(kind="gsg", sigma=1.0e-3),
                      FixedStepConfig(alpha=1.0e-4), 3 * optimizer.INSTRUMENT_BLOCK,
                      RngStream(4, 1))
+
+    def test_error_state_between_blocks_is_the_callers(self):
+        """numpy's error state is a context variable, which run_blocks shares
+        with its caller: it ignores overflow and invalid operations while it
+        works on a block, and the caller's code between two blocks runs under
+        the caller's own state."""
+        seen = []
+        oracle = Oracle(lambda x: seen.append(np.geterr()) or float(x @ x), 2)
+        with np.errstate(over="raise", invalid="warn", divide="print"):
+            caller = np.geterr()
+            between = [np.geterr() for _ in optimizer.run_blocks(
+                oracle, np.ones(2), EstimatorConfig(kind="gsg", sigma=1.0e-3),
+                FixedStepConfig(alpha=1.0e-4), 12 * optimizer.INSTRUMENT_BLOCK, RngStream(4, 1))]
+        assert len(between) > 3 and all(state == caller for state in between)
+        assert {(s["over"], s["invalid"], s["divide"]) for s in seen} == {
+            ("ignore", "ignore", "print")}

@@ -35,8 +35,8 @@ from dfoline import (
     orthonormal_directions,
 )
 from dfoline.core import NOISE_KINDS
-from dfoline.harness.csvio import ROW_BLOCK, TRACE_COLUMNS, write_trace
-from dfoline.optimizer import GRAD_NORM_TOL, OptimizationTrace
+from dfoline.harness.csvio import TRACE_COLUMNS, write_trace
+from dfoline.optimizer import GRAD_NORM_TOL, INSTRUMENT_BLOCK, OptimizationTrace
 from dfoline.estimators import (
     _COND_LIMIT,
     ESTIMATORS,
@@ -235,20 +235,26 @@ edge_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 
 @SETTINGS
 @given(floats=st.lists(edge_floats | st.floats(allow_nan=False), min_size=1, max_size=40),
        evals=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=10),
-       size=st.integers(1, 3 * ROW_BLOCK), nan_at=st.none() | st.integers(0, 3 * ROW_BLOCK),
+       size=st.integers(1, 3 * INSTRUMENT_BLOCK), block=st.sampled_from([1, 7, INSTRUMENT_BLOCK]),
+       nan_at=st.none() | st.integers(0, 3 * INSTRUMENT_BLOCK),
        status=st.sampled_from(["converged", "budget_exhausted", "noise_floor", "failed"]))
-def test_trace_writer_writes_the_csv_writers_bytes(floats, evals, size, nan_at, status):
-    """write_trace formats each block of ROW_BLOCK rows with no NaN itself:
-    its file has the bytes csv.writer writes for the same rows, a NaN cell
-    empty, whether or not a block holds a NaN."""
+def test_trace_writer_writes_the_csv_writers_bytes(floats, evals, size, block, nan_at, status):
+    """write_trace formats each block it is given by one %-format: its file
+    has the bytes csv.writer writes for the same rows, a NaN cell empty,
+    whether or not a block holds a NaN.  Each block but the last is "ok",
+    as run_blocks makes them."""
     columns = np.resize(np.array(floats), (6, size))  # each column a shift of the floats
     if nan_at is not None and nan_at < size:
         columns[nan_at % 6, nan_at] = math.nan
     trace = OptimizationTrace(np.zeros((size, 1)), np.resize(np.array(evals), size), *columns,
                               status=status, detail="")
+    blocks = [dataclasses.replace(trace, **{name: getattr(trace, name)[lo:lo + block]
+                                            for name in ["x", *TRACE_COLUMNS[1:-1]]},
+                                  status=status if lo + block >= size else "ok")
+              for lo in range(0, size, block)]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
-        write_trace(path, trace, "h")
+        assert write_trace(path, blocks, "h") is blocks[-1]
         with open(path, "rb") as fh:
             written = fh.read()
     expected = io.StringIO(newline="")
